@@ -33,12 +33,13 @@ from .capacity import (
     lmmse_error,
 )
 from .montecarlo import (
-    empirical_capacity_lmmse,
-    empirical_capacity_opt,
-    empirical_spectrum,
+    KS_MIN_RESOURCES,
+    KS_THRESHOLD,
+    _smaller_gram,
+    compare_to_closed_form,
     feasible_resources,
     generate_signature,
-    ks_distance,
+    ks_draw,
 )
 from .spectral import (
     SystemConfig,
@@ -105,36 +106,28 @@ def check_mc_agreement() -> tuple[bool, str]:
     snr = 10.0
     for d, bd in MC_CONFIGS:
         cfg = SystemConfig(d, bd, snr)
-        for receiver, closed, run, n_req, trials in (
-            ("opt", capacity_optimum(cfg).spectral_efficiency, empirical_capacity_opt, 1200, 50),
-            ("lmmse", capacity_lmmse(cfg).spectral_efficiency, empirical_capacity_lmmse, 2000, 20),
-        ):
-            n = feasible_resources(n_req, d, bd)
-            est = run(n, cfg, trials=trials, seed=20_000 + d * 100 + bd)
-            dev = abs(est.estimate - closed)
-            tol = max(3.0 * est.stderr, 0.01 * closed)
-            ok = ok and dev < tol
-            lines.append(f"({d},{bd},{receiver}) dev={dev:.2e} tol={tol:.2e}")
+        for label, receiver in (("opt", "optimum"), ("lmmse", "lmmse")):
+            r = compare_to_closed_form(receiver, cfg, seed=20_000 + d * 100 + bd)
+            ok = ok and r.passed
+            lines.append(f"({d},{bd},{label}) dev={r.abs_dev:.2e} tol={r.tolerance:.2e}")
     dt = time.perf_counter() - t0
     ok = ok and dt < 300.0
     return ok, f"{'; '.join(lines)}; {dt:.0f}s"
 
 
 def check_ks_convergence() -> tuple[bool, str]:
-    """Median KS over 10 seeds at N ~ 2000 below 0.02 for the four configs."""
+    """Median KS over 10 seeds at N ~ 2000 below KS_THRESHOLD for the four configs."""
     lines = []
     ok = True
     for d, bd in MC_CONFIGS:
         cfg = SystemConfig(d, bd)
-        dens = spectral_density(cfg)
-        n = feasible_resources(2000, d, bd)
-        dists = []
-        for s in range(10):
-            rng = np.random.default_rng([40_000 + d * 100 + bd, s])
-            sig = generate_signature(n, d, bd, "uniform", rng)
-            dists.append(ks_distance(empirical_spectrum(sig), dens))
+        n = feasible_resources(KS_MIN_RESOURCES, d, bd)
+        dists = [
+            ks_draw(n, cfg, np.random.default_rng([40_000 + d * 100 + bd, s]))
+            for s in range(10)
+        ]
         med = float(np.median(dists))
-        ok = ok and med < 0.02
+        ok = ok and med < KS_THRESHOLD
         lines.append(f"({d},{bd}) median KS = {med:.4f} at N={n}")
     return ok, "; ".join(lines)
 
@@ -160,9 +153,8 @@ def check_moment_identities() -> tuple[bool, str]:
     for d, bd in MC_CONFIGS:
         n = feasible_resources(2000, d, bd)
         sig = generate_signature(n, d, bd, "uniform", np.random.default_rng([50_000 + d, bd]))
-        a_mat = sig.to_sparse()
         b = bd / d
-        gram = a_mat.conj().T @ a_mat if sig.n_users <= n else a_mat @ a_mat.conj().T
+        gram, _ = _smaller_gram(sig.to_sparse())
         m1_emp = float(np.abs(sig.weights**2).sum()) / (d * n)
         m2_emp = float((np.abs(gram.data) ** 2).sum()) / (d * d * n)
         m2_lim = b * b + b * (d - 1) / d

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from typing import Any, Iterable
 
 import numpy as np
@@ -25,21 +26,18 @@ from .capacity import capacity_lmmse, capacity_optimum
 from .checks import CHECKS, run_checks
 from .errors import ConfigurationError, DomainError, NumericalError
 from .montecarlo import (
+    KS_MIN_RESOURCES,
+    KS_THRESHOLD,
     PHASE_SCHEMES,
-    empirical_capacity_lmmse,
-    empirical_capacity_opt,
-    empirical_spectrum,
+    compare_to_closed_form,
     feasible_resources,
-    generate_signature,
-    ks_distance,
+    ks_draw,
 )
 from .spectral import SystemConfig, density_at, derive_params, spectral_density
 from .svgplot import sweep_svg
 from .units import db_to_linear, linear_to_db
 
 CSV_HEADER = "scheme,d,beta_d,beta,ebn0_db,snr,rate,route,stderr"
-KS_THRESHOLD = 0.02
-KS_MIN_RESOURCES = 2000  # threshold is only meaningful near the acceptance scale
 _KS_SUBSTREAM = 2**31 - 1  # distinct from any per-trial substream index
 
 
@@ -228,44 +226,27 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_receiver(receiver: str, args: argparse.Namespace, cfg: SystemConfig) -> dict:
-    if receiver == "optimum":
-        closed = capacity_optimum(cfg).spectral_efficiency
-        runner, n_default, trials_default = empirical_capacity_opt, 1200, 50
-    else:
-        closed = capacity_lmmse(cfg).spectral_efficiency
-        runner, n_default, trials_default = empirical_capacity_lmmse, 2000, 20
-    n = feasible_resources(args.n if args.n is not None else n_default, cfg.d, cfg.beta_d)
-    trials = args.trials if args.trials is not None else trials_default
-    est = runner(n, cfg, trials=trials, seed=args.seed, phase_scheme=args.phase_scheme)
-    abs_dev = abs(est.estimate - closed)
-    tolerance = max(3.0 * est.stderr, 0.01 * abs(closed))
-    return {
-        "closed_form": closed,
-        "estimate": est.estimate,
-        "stderr": est.stderr,
-        "trials": est.trials,
-        "n_resources": n,
-        "abs_dev": abs_dev,
-        "tolerance": tolerance,
-        "pass": bool(abs_dev <= tolerance),
-    }
-
-
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.d, args.beta_d, db_to_linear(args.snr_db))
     receivers: dict[str, dict] = {}
-    if args.receiver in ("opt", "both"):
-        receivers["optimum"] = _run_receiver("optimum", args, cfg)
-    if args.receiver in ("lmmse", "both"):
-        receivers["lmmse"] = _run_receiver("lmmse", args, cfg)
+    chosen = {"opt": ("optimum",), "lmmse": ("lmmse",), "both": ("optimum", "lmmse")}
+    for receiver in chosen[args.receiver]:
+        row = asdict(
+            compare_to_closed_form(
+                receiver, cfg, n_resources=args.n, trials=args.trials,
+                seed=args.seed, phase_scheme=args.phase_scheme,
+            )
+        )
+        row["pass"] = row.pop("passed")
+        receivers[receiver] = row
 
     ks: dict | None = None
     if not args.no_ks:
-        n_ks = feasible_resources(args.n if args.n is not None else 2000, cfg.d, cfg.beta_d)
+        n_ks = feasible_resources(
+            args.n if args.n is not None else KS_MIN_RESOURCES, cfg.d, cfg.beta_d
+        )
         rng = np.random.default_rng([args.seed, _KS_SUBSTREAM])
-        sig = generate_signature(n_ks, cfg.d, cfg.beta_d, args.phase_scheme, rng)
-        dist = ks_distance(empirical_spectrum(sig), spectral_density(cfg))
+        dist = ks_draw(n_ks, cfg, rng, args.phase_scheme)
         threshold = KS_THRESHOLD if n_ks >= KS_MIN_RESOURCES else None
         ks = {
             "n_resources": n_ks,

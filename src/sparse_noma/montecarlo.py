@@ -23,26 +23,35 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
+from .capacity import capacity_lmmse, capacity_optimum
 from .errors import ConfigurationError, DomainError, GenerationError, NumericalError
-from .spectral import SpectralDensity, SystemConfig, limiting_cdf
+from .spectral import SpectralDensity, SystemConfig, limiting_cdf, spectral_density
 from .units import LN2
 
 __all__ = [
     "SignatureMatrix",
     "EmpiricalSpectrum",
     "McEstimate",
+    "McAgreement",
     "generate_signature",
     "empirical_spectrum",
     "empirical_capacity_opt",
     "empirical_capacity_lmmse",
     "lmmse_diagonal",
     "feasible_resources",
+    "compare_to_closed_form",
     "ks_distance",
+    "ks_draw",
+    "KS_THRESHOLD",
+    "KS_MIN_RESOURCES",
 ]
 
 PHASE_SCHEMES = ("uniform", "binary", "repetition")
 
 _MEAN_EIG_TOL = 1e-10
+
+KS_THRESHOLD = 0.02
+KS_MIN_RESOURCES = 2000  # the threshold is only meaningful near this acceptance scale
 
 
 @dataclass(eq=False)
@@ -191,22 +200,29 @@ class EmpiricalSpectrum:
         return np.histogram(self.eigenvalues, bins=bins, density=True)
 
 
+def _smaller_gram(a: sp.csr_matrix) -> tuple[sp.csr_matrix, bool]:
+    """Unscaled sparse Gram product on the smaller side, and whether it is the user side.
+
+    A^H A (K x K) when K <= N, otherwise A A^H (N x N).  The two sides share
+    their nonzero eigenvalues; callers apply their own scaling.
+    """
+    n, k = a.shape
+    if k <= n:
+        return a.conj().T @ a, True
+    return a @ a.conj().T, False
+
+
 def empirical_spectrum(sig: SignatureMatrix) -> EmpiricalSpectrum:
     """Eigenvalues of the resource-side scaled Gram matrix.
 
     The two Gram sides share nonzero eigenvalues, so the decomposition runs
     on the smaller side and zeros are padded back when users are fewer.
     """
-    a = sig.to_sparse()
     n, k = sig.n_resources, sig.n_users
-    if k <= n:
-        gram = (a.conj().T @ a).toarray() / sig.d
-        eigs = np.linalg.eigvalsh(gram)
-        if k < n:
-            eigs = np.concatenate([np.zeros(n - k), eigs])
-    else:
-        gram = (a @ a.conj().T).toarray() / sig.d
-        eigs = np.linalg.eigvalsh(gram)
+    gram, _ = _smaller_gram(sig.to_sparse())
+    eigs = np.linalg.eigvalsh(gram.toarray() / sig.d)
+    if k < n:
+        eigs = np.concatenate([np.zeros(n - k), eigs])
     # the Gram matrix is PSD; negatives are eigensolver noise
     eigs = np.sort(np.clip(eigs, 0.0, None))
     beta = sig.beta_d / sig.d
@@ -266,13 +282,14 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     a = sig.to_sparse()
     n, k = sig.n_resources, sig.n_users
     c = snr / sig.d
-    if k <= n:
-        m = np.eye(k, dtype=complex) + c * (a.conj().T @ a).toarray()
+    gram, user_side = _smaller_gram(a)
+    if user_side:
+        m = np.eye(k, dtype=complex) + c * gram.toarray()
         low = sla.cholesky(m, lower=True)
         x = sla.solve_triangular(low, np.eye(k, dtype=complex), lower=True)
         diag = (np.abs(x) ** 2).sum(axis=0)
     else:
-        s = np.eye(n, dtype=complex) + c * (a @ a.conj().T).toarray()
+        s = np.eye(n, dtype=complex) + c * gram.toarray()
         low = sla.cholesky(s, lower=True)
         diag = np.empty(k)
         block = 512
@@ -316,6 +333,58 @@ def feasible_resources(n_resources: int, d: int, beta_d: int) -> int:
     return n
 
 
+@dataclass(frozen=True)
+class McAgreement:
+    """One receiver's Monte Carlo estimate against its closed form.
+
+    passed is abs_dev < tolerance, with tolerance = max(3 SE, 1% of the
+    closed form).
+    """
+
+    closed_form: float
+    estimate: float
+    stderr: float
+    trials: int
+    n_resources: int
+    abs_dev: float
+    tolerance: float
+    passed: bool
+
+
+def compare_to_closed_form(
+    receiver: str,
+    config: SystemConfig,
+    n_resources: int | None = None,
+    trials: int | None = None,
+    seed: int = 0,
+    phase_scheme: str = "uniform",
+) -> McAgreement:
+    """Estimate one receiver's spectral efficiency and compare it with its closed form.
+
+    receiver is "optimum" (default N = 1200, 50 trials) or "lmmse" (default
+    N = 2000, 20 trials); N is rounded up to a feasible resource count.
+    """
+    if receiver == "optimum":
+        closed = capacity_optimum(config).spectral_efficiency
+        run, n_default, trials_default = empirical_capacity_opt, 1200, 50
+    elif receiver == "lmmse":
+        closed = capacity_lmmse(config).spectral_efficiency
+        run, n_default, trials_default = empirical_capacity_lmmse, 2000, 20
+    else:
+        raise ConfigurationError(f"receiver must be 'optimum' or 'lmmse', got {receiver!r}")
+    n = feasible_resources(n_default if n_resources is None else n_resources, config.d, config.beta_d)
+    est = run(
+        n, config, trials=trials_default if trials is None else trials,
+        seed=seed, phase_scheme=phase_scheme,
+    )
+    abs_dev = abs(est.estimate - closed)
+    tolerance = max(3.0 * est.stderr, 0.01 * closed)
+    return McAgreement(
+        closed_form=closed, estimate=est.estimate, stderr=est.stderr, trials=est.trials,
+        n_resources=n, abs_dev=abs_dev, tolerance=tolerance, passed=abs_dev < tolerance,
+    )
+
+
 def ks_distance(spectrum: EmpiricalSpectrum, density: SpectralDensity) -> float:
     """Two-sided Kolmogorov-Smirnov distance to the limiting law.
 
@@ -339,3 +408,17 @@ def ks_distance(spectrum: EmpiricalSpectrum, density: SpectralDensity) -> float:
             np.max(np.abs(cdf_left - below / n)),
         )
     )
+
+
+def ks_draw(
+    n_resources: int,
+    config: SystemConfig,
+    rng: np.random.Generator,
+    phase_scheme: str = "uniform",
+) -> float:
+    """KS distance to the limiting law of one signature drawn from rng.
+
+    Compared against KS_THRESHOLD once n_resources >= KS_MIN_RESOURCES.
+    """
+    sig = generate_signature(n_resources, config.d, config.beta_d, phase_scheme, rng)
+    return ks_distance(empirical_spectrum(sig), spectral_density(config))

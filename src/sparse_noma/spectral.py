@@ -244,12 +244,6 @@ class SpectralDensity:
     def point_mass_at_zero(self) -> float:
         return self.params.point_mass_at_zero
 
-    def density_at(self, lam: float) -> float:
-        return density_at(self, lam)
-
-    def cdf(self, lam) -> np.ndarray:
-        return limiting_cdf(self, lam)
-
 
 def spectral_density(config: SystemConfig) -> SpectralDensity:
     return SpectralDensity(config=config, params=derive_params(config))

@@ -10,6 +10,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sparse_noma import montecarlo
 from sparse_noma.cli import CSV_HEADER, main
 from sparse_noma.units import db_to_linear, linear_to_db
 
@@ -200,6 +201,17 @@ class TestMonteCarlo:
         assert ("sparse_opt", "monte_carlo") in routes
         mc = next(r for r in rows if r["route"] == "monte_carlo")
         assert float(mc["stderr"]) >= 0.0
+
+    def test_ks_gated_at_acceptance_scale(self, capsys, schema):
+        code, out, _ = run(capsys, "montecarlo", "--d", "2", "--beta-d", "2", "--snr-db", "10",
+                           "--n", "2000", "--receiver", "lmmse", "--trials", "2")
+        payload = json.loads(out)
+        jsonschema.validate(payload, schema)
+        ks = payload["ks"]
+        assert ks["n_resources"] == 2000
+        assert ks["threshold"] == montecarlo.KS_THRESHOLD
+        assert ks["pass"] == (ks["distance"] < ks["threshold"])
+        assert code == (0 if payload["pass"] else 1)
 
 
 class TestValidate:

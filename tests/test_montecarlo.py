@@ -1,6 +1,7 @@
 """Finite-size validation harness: generation, spectra, and estimators."""
 
 import math
+import types
 from collections import defaultdict
 
 import numpy as np
@@ -9,8 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from sparse_noma import ConfigurationError, SystemConfig, spectral_density
 from sparse_noma.capacity import capacity_lmmse, capacity_optimum, lmmse_error
+from sparse_noma import montecarlo
 from sparse_noma.montecarlo import (
     EmpiricalSpectrum,
+    McEstimate,
+    compare_to_closed_form,
     empirical_capacity_lmmse,
     empirical_capacity_opt,
     empirical_spectrum,
@@ -190,6 +194,51 @@ class TestCapacityEstimators:
         for scheme in ("uniform", "binary", "repetition"):
             est = empirical_capacity_opt(240, cfg, trials=12, seed=12, phase_scheme=scheme)
             assert abs(est.estimate - closed) < 0.005 * closed
+
+
+class TestCompareToClosedForm:
+    """The agreement rule abs_dev < max(3 SE, 1% closed) on synthetic estimates."""
+
+    def _compare(self, monkeypatch, estimate, stderr, receiver="optimum", **kwargs):
+        calls = []
+
+        def fake_estimator(n, config, trials, seed, phase_scheme):
+            calls.append((n, trials))
+            return McEstimate(estimate, stderr, trials, seed, ())
+
+        closed = types.SimpleNamespace(spectral_efficiency=100.0)  # 1% is exactly 1.0
+        monkeypatch.setattr(montecarlo, "capacity_optimum", lambda cfg: closed)
+        monkeypatch.setattr(montecarlo, "capacity_lmmse", lambda cfg: closed)
+        monkeypatch.setattr(montecarlo, "empirical_capacity_opt", fake_estimator)
+        monkeypatch.setattr(montecarlo, "empirical_capacity_lmmse", fake_estimator)
+        return compare_to_closed_form(receiver, SystemConfig(3, 2, 10.0), **kwargs), calls
+
+    def test_floor_branch(self, monkeypatch):
+        under, _ = self._compare(monkeypatch, math.nextafter(101.0, 100.0), 0.25)
+        assert under.tolerance == 1.0 and under.passed
+        at, _ = self._compare(monkeypatch, 99.0, 0.25)
+        assert at.abs_dev == at.tolerance == 1.0 and not at.passed
+
+    def test_stderr_branch(self, monkeypatch):
+        under, _ = self._compare(monkeypatch, math.nextafter(101.5, 100.0), 0.5)
+        assert under.tolerance == 1.5 and under.passed
+        at, _ = self._compare(monkeypatch, 101.5, 0.5)
+        assert at.abs_dev == at.tolerance == 1.5 and not at.passed
+
+    def test_record_fields(self, monkeypatch):
+        r, _ = self._compare(monkeypatch, 100.25, 0.125, trials=7, n_resources=100)
+        assert (r.closed_form, r.estimate, r.stderr, r.abs_dev) == (100.0, 100.25, 0.125, 0.25)
+        assert (r.trials, r.n_resources) == (7, feasible_resources(100, 3, 2))
+
+    def test_receiver_defaults(self, monkeypatch):
+        _, calls = self._compare(monkeypatch, 100.0, 0.0, receiver="optimum")
+        assert calls == [(feasible_resources(1200, 3, 2), 50)]
+        _, calls = self._compare(monkeypatch, 100.0, 0.0, receiver="lmmse")
+        assert calls == [(feasible_resources(2000, 3, 2), 20)]
+
+    def test_unknown_receiver(self):
+        with pytest.raises(ConfigurationError, match="receiver"):
+            compare_to_closed_form("opt", SystemConfig(3, 2, 10.0))
 
 
 class TestLmmseDiagonal:
