@@ -75,6 +75,34 @@ class SweepTable:
     degenerate: bool = False  # envelope built from fewer than 2 generators
 
 
+def _dense_logs(x: float, z: float) -> tuple[float, float]:
+    """ln(1 + x - F/4) and ln(1 + z x - F/4) for F = kernel_F(x, z), without cancellation.
+
+    With p, q the two roots inside F and w = x (1 - z), the arguments are
+    (p q + 1 + w)/2 and (p q + 1 - w)/2.  Where the sum cancels (w < -1,
+    resp. w > 1) the conjugate forms 2 x z / (p q - 1 - w) and
+    2 x / (p q - 1 + w) replace it; elsewhere log1p takes the excess over 1,
+    with p q - 1 = (p - 1) q + (q - 1) built from nonnegative parts so low
+    SNR keeps its relative precision.
+    """
+    rz = math.sqrt(z)
+    a = (1.0 + rz) ** 2
+    b = (1.0 - rz) ** 2
+    p = math.sqrt(x * a + 1.0)
+    q = math.sqrt(x * b + 1.0)
+    pq_m1 = x * a / (1.0 + p) * q + x * b / (1.0 + q)
+    w = x * (1.0 - z)
+    if w < -1.0:
+        user = math.log(2.0 * x * z / (pq_m1 - w))
+    else:
+        user = math.log1p((pq_m1 + w) / 2.0)
+    if w > 1.0:
+        load = math.log(2.0 * x / (pq_m1 + w))
+    else:
+        load = math.log1p((pq_m1 - w) / 2.0)
+    return user, load
+
+
 def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     """Dense-baseline spectral efficiency in bits/s/Hz at linear snr."""
     beta = float(beta)
@@ -93,15 +121,11 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     if scheme == "rs_cdma_opt":
         if snr == 0.0:
             return 0.0
-        f = kernel_F(snr, beta)
-        return (
-            beta * math.log1p(snr - f / 4.0) / LN2
-            + math.log1p(beta * snr - f / 4.0) / LN2
-            - f / (4.0 * snr) * LOG2E
-        )
+        user, load = _dense_logs(snr, beta)
+        return beta * user / LN2 + load / LN2 - kernel_F(snr, beta) / (4.0 * snr) * LOG2E
     if scheme == "rs_cdma_lmmse":
-        f = kernel_F(snr, beta)
-        return beta * math.log1p(snr - f / 4.0) / LN2
+        user, _ = _dense_logs(snr, beta)
+        return beta * user / LN2
     raise DomainError(f"unknown baseline scheme {scheme!r}; pick from {_DENSE_SCHEMES}")
 
 

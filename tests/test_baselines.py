@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -55,6 +56,24 @@ class TestBaselineRate:
         assert cw >= opt - 1e-12
         assert opt >= lin - 1e-12
         assert lin >= 0.0
+
+    @pytest.mark.parametrize("beta", [1 / 3, 2 / 3, 1.0, 3 / 2, 8 / 3, 3.0])
+    def test_rs_cdma_matches_verdu_shamai(self, beta):
+        # 1e-12 bits absolute from -10 dB up, 1e-13 relative below, against
+        # the Verdu-Shamai formulas evaluated directly in 50-digit arithmetic
+        with mpmath.workdps(50):
+            z = mpmath.mpf(beta)
+            for snr_db in range(-40, 121, 5):
+                snr = 10.0 ** (snr_db / 10.0)
+                x = mpmath.mpf(snr)
+                f = (mpmath.sqrt(x * (1 + mpmath.sqrt(z)) ** 2 + 1)
+                     - mpmath.sqrt(x * (1 - mpmath.sqrt(z)) ** 2 + 1)) ** 2
+                lmmse = z * mpmath.log(1 + x - f / 4, 2)
+                opt = lmmse + mpmath.log(1 + z * x - f / 4, 2) - f / (4 * x) / mpmath.log(2)
+                for scheme, ref in (("rs_cdma_opt", opt), ("rs_cdma_lmmse", lmmse)):
+                    err = abs(baseline_rate(scheme, beta, snr) - ref)
+                    bar = 1e-12 if snr_db >= -10 else 1e-13 * abs(ref)
+                    assert err < bar, (scheme, snr_db, float(err))
 
 
 class TestRateSolver:
