@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .capacity import capacity_lmmse, capacity_optimum, kernel_F
+from .capacity import capacity_lmmse, capacity_optimum
 from .errors import ConfigurationError, DomainError, NumericalError
 from .spectral import SystemConfig
 from .units import LN2, LOG2E
@@ -75,10 +75,11 @@ class SweepTable:
     degenerate: bool = False  # envelope built from fewer than 2 generators
 
 
-def _dense_logs(x: float, z: float) -> tuple[float, float]:
-    """ln(1 + x - F/4) and ln(1 + z x - F/4) for F = kernel_F(x, z), without cancellation.
+def _rs_cdma_terms(x: float, z: float) -> tuple[float, float, float]:
+    """ln(1 + x - F/4), ln(1 + z x - F/4) and F/(4x) for F = kernel_F(x, z).
 
-    With p, q the two roots inside F and w = x (1 - z), the arguments are
+    None of them cancels or forms x^2.  F/(4x) = 4 x z / (p + q)^2,
+    with p, q the two roots inside F.  With w = x (1 - z) the log arguments are
     (p q + 1 + w)/2 and (p q + 1 - w)/2.  Where the sum cancels (w < -1,
     resp. w > 1) the conjugate forms 2 x z / (p q - 1 - w) and
     2 x / (p q - 1 + w) replace it; elsewhere log1p takes the excess over 1,
@@ -100,7 +101,7 @@ def _dense_logs(x: float, z: float) -> tuple[float, float]:
         load = math.log(2.0 * x / (pq_m1 + w))
     else:
         load = math.log1p((pq_m1 - w) / 2.0)
-    return user, load
+    return user, load, 4.0 * z * (x / ((p + q) * (p + q)))
 
 
 def baseline_rate(scheme: str, beta: float, snr: float) -> float:
@@ -119,12 +120,10 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
             raise DomainError(f"orthogonal transmission requires beta <= 1, got {beta!r}")
         return beta * math.log1p(snr) / LN2
     if scheme == "rs_cdma_opt":
-        if snr == 0.0:
-            return 0.0
-        user, load = _dense_logs(snr, beta)
-        return beta * user / LN2 + load / LN2 - kernel_F(snr, beta) / (4.0 * snr) * LOG2E
+        user, load, f_over_4x = _rs_cdma_terms(snr, beta)
+        return beta * user / LN2 + load / LN2 - f_over_4x * LOG2E
     if scheme == "rs_cdma_lmmse":
-        user, _ = _dense_logs(snr, beta)
+        user, _, _ = _rs_cdma_terms(snr, beta)
         return beta * user / LN2
     raise DomainError(f"unknown baseline scheme {scheme!r}; pick from {_DENSE_SCHEMES}")
 

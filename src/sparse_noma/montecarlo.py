@@ -280,17 +280,14 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     if not snr > 0.0:
         raise DomainError(f"snr must be positive, got {snr!r}")
     a = sig.to_sparse()
-    n, k = sig.n_resources, sig.n_users
+    k = sig.n_users
     c = snr / sig.d
     gram, user_side = _smaller_gram(a)
+    low = sla.cholesky(np.eye(gram.shape[0], dtype=complex) + c * gram.toarray(), lower=True)
     if user_side:
-        m = np.eye(k, dtype=complex) + c * gram.toarray()
-        low = sla.cholesky(m, lower=True)
         x = sla.solve_triangular(low, np.eye(k, dtype=complex), lower=True)
         diag = (np.abs(x) ** 2).sum(axis=0)
     else:
-        s = np.eye(n, dtype=complex) + c * gram.toarray()
-        low = sla.cholesky(s, lower=True)
         diag = np.empty(k)
         block = 512
         for start in range(0, k, block):
