@@ -154,7 +154,7 @@ def check_moment_identities() -> tuple[bool, str]:
         n = feasible_resources(2000, d, bd)
         sig = generate_signature(n, d, bd, "uniform", np.random.default_rng([50_000 + d, bd]))
         b = bd / d
-        gram, _ = _smaller_gram(sig.to_sparse())
+        _, gram, _ = _smaller_gram(sig)
         m1_emp = float(np.abs(sig.weights**2).sum()) / (d * n)
         m2_emp = float((np.abs(gram.data) ** 2).sum()) / (d * d * n)
         m2_lim = b * b + b * (d - 1) / d

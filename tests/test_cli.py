@@ -202,6 +202,14 @@ class TestMonteCarlo:
         mc = next(r for r in rows if r["route"] == "monte_carlo")
         assert float(mc["stderr"]) >= 0.0
 
+    def test_zero_snr_exact_match_passes(self, capsys):
+        # closed form, estimate and tolerance are all exactly 0
+        code, out, _ = run(capsys, "montecarlo", "--d", "2", "--beta-d", "2", "--snr-db=-inf",
+                           "--n", "120", "--trials", "2", "--no-ks", "--receiver", "opt")
+        r = json.loads(out)["receivers"]["optimum"]
+        assert (r["closed_form"], r["estimate"], r["tolerance"]) == (0.0, 0.0, 0.0)
+        assert code == 0
+
     def test_ks_gated_at_acceptance_scale(self, capsys, schema):
         code, out, _ = run(capsys, "montecarlo", "--d", "2", "--beta-d", "2", "--snr-db", "10",
                            "--n", "2000", "--receiver", "lmmse", "--trials", "2")

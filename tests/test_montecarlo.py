@@ -1,5 +1,6 @@
 """Finite-size validation harness: generation, spectra, and estimators."""
 
+import dataclasses
 import math
 import types
 from collections import defaultdict
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_noma import ConfigurationError, SystemConfig, spectral_density
+from sparse_noma import ConfigurationError, NumericalError, SystemConfig, spectral_density
 from sparse_noma.capacity import capacity_lmmse, capacity_optimum, lmmse_error
 from sparse_noma import montecarlo
 from sparse_noma.montecarlo import (
@@ -272,6 +273,65 @@ class TestLmmseDiagonal:
             m = lmmse_diagonal(sig, 10.0)
             sinrs.append(float(np.mean(1.0 / m - 1.0)))
         assert np.mean(sinrs) == pytest.approx(target, rel=0.02)
+
+
+SHAPES = {"K<N": (3, 2), "K=N": (2, 2), "K>N": (3, 6)}
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "binary", "repetition"])
+@pytest.mark.parametrize("shape", list(SHAPES))
+class TestFactorRoutes:
+    """The Cholesky routes against eigenvalues and a dense inverse, one signature per case."""
+
+    N, SNR, SEED = 60, 10.0, 21
+
+    def _signature(self, shape, scheme):
+        d, bd = SHAPES[shape]
+        # the draw empirical_capacity_opt makes for trial 0 of SEED
+        return generate_signature(self.N, d, bd, scheme, np.random.default_rng([self.SEED, 0]))
+
+    def test_logdet_matches_eigenvalues(self, shape, scheme):
+        sig = self._signature(shape, scheme)
+        cfg = SystemConfig(sig.d, sig.beta_d, self.SNR)
+        est = empirical_capacity_opt(self.N, cfg, trials=1, seed=self.SEED, phase_scheme=scheme)
+        eigs = empirical_spectrum(sig).eigenvalues
+        exact = np.log1p(self.SNR * eigs).sum() / (self.N * math.log(2.0))
+        assert est.estimate == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_lmmse_diagonal_matches_inverse(self, shape, scheme):
+        sig = self._signature(shape, scheme)
+        a = sig.to_sparse().toarray()
+        r = a.conj().T @ a / sig.d
+        want = np.real(np.diag(np.linalg.inv(np.eye(sig.n_users) + self.SNR * r)))
+        assert np.allclose(lmmse_diagonal(sig, self.SNR), want, rtol=1e-12, atol=0.0)
+
+    def test_real_path_matches_complex_path(self, shape, scheme):
+        # a common factor 1j leaves both Gram sides exactly unchanged but
+        # makes every weight complex, so the complex arithmetic runs
+        sig = self._signature(shape, scheme)
+        rotated = dataclasses.replace(sig, weights=1j * sig.weights)
+        assert np.allclose(lmmse_diagonal(sig, self.SNR), lmmse_diagonal(rotated, self.SNR),
+                           rtol=1e-13, atol=0.0)
+        lam, lam_rot = empirical_spectrum(sig).eigenvalues, empirical_spectrum(rotated).eigenvalues
+        assert np.allclose(lam, lam_rot, rtol=0.0, atol=1e-13)
+        logdet = [2.0 * np.log(montecarlo._cholesky(s, self.SNR)[0].diagonal().real).sum()
+                  for s in (sig, rotated)]
+        assert logdet[0] == pytest.approx(logdet[1], rel=1e-13, abs=0.0)
+
+
+class TestFactorFailures:
+    def test_failed_cholesky_is_numerical_error(self):
+        # I - G/d is indefinite, so potrf reports a nonpositive pivot
+        sig = generate_signature(24, 2, 4, seed=22)
+        with pytest.raises(NumericalError, match="potrf"):
+            montecarlo._cholesky(sig, -1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("n, d, bd", [(30, 3, 2), (24, 2, 4)])
+    def test_infinite_snr_is_numerical_error(self, n, d, bd):
+        sig = generate_signature(n, d, bd, seed=23)
+        with pytest.raises(NumericalError):
+            lmmse_diagonal(sig, math.inf)
 
 
 class TestKsDistance:
