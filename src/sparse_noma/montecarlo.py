@@ -2,7 +2,10 @@
 
 Finite matrices are drawn by configuration-model stub matching (exact
 degrees by construction) followed by random two-edge swaps until the
-bipartite graph is simple; nonzeros sit on the complex unit circle.  Dense
+bipartite graph is simple; nonzeros sit on the complex unit circle.  Edges
+are stored user by user (user c owns edges c*d .. c*d + d - 1) and swaps
+only exchange resources, so the repair finds and tests duplicates per user
+block without a pass over all edges.  Dense
 algebra runs on the smaller Gram side, real when every weight is real.  Only
 the empirical spectrum is an eigensolve: both capacity estimates factor
 I + snr R (Cholesky log-determinant, triangular-inverse MMSE diagonal).
@@ -16,7 +19,6 @@ BLAS layer uses the cores.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +68,8 @@ class SignatureMatrix:
     cols: np.ndarray
     weights: np.ndarray
     phase_scheme: str
+    swap_iterations: int = 0  # swap attempts on the accepted stub matching
+    matchings: int = 1  # stub matchings drawn, including the accepted one
 
     def to_sparse(self) -> sp.csr_matrix:
         return sp.csr_matrix(
@@ -74,12 +78,18 @@ class SignatureMatrix:
         )
 
     def validate(self) -> None:
-        n, k = self.n_resources, self.n_users
-        if not np.array_equal(np.bincount(self.cols, minlength=k), np.full(k, self.d)):
+        """Raise GenerationError unless a simple regular unit-modulus graph (any edge order)."""
+        n, k, rows, cols = self.n_resources, self.n_users, self.rows, self.cols
+        if not len(rows) == len(cols) == len(self.weights):
+            raise GenerationError("rows, cols and weights differ in length")
+        if np.any((rows < 0) | (rows >= n)) or np.any((cols < 0) | (cols >= k)):
+            raise GenerationError("an edge index is out of range")
+        if not np.array_equal(np.bincount(cols, minlength=k), np.full(k, self.d)):
             raise GenerationError("column degrees are not exactly d")
-        if not np.array_equal(np.bincount(self.rows, minlength=n), np.full(n, self.beta_d)):
+        if not np.array_equal(np.bincount(rows, minlength=n), np.full(n, self.beta_d)):
             raise GenerationError("row degrees are not exactly beta_d")
-        if len(set(zip(self.rows.tolist(), self.cols.tolist()))) != len(self.rows):
+        keys = np.sort(rows.astype(np.int64) * k + cols)  # np.unique hashes; sorting is faster
+        if np.any(keys[1:] == keys[:-1]):
             raise GenerationError("duplicate edges survive; the graph is not simple")
         if np.max(np.abs(np.abs(self.weights) - 1.0)) > 1e-12:
             raise GenerationError("nonzeros are not unit modulus")
@@ -91,37 +101,34 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _repair_to_simple(rng, rows: np.ndarray, cols: np.ndarray, cap: int) -> bool:
-    """Random two-edge swaps (degree-preserving) until no duplicate edges."""
+def _repair_to_simple(rng, rows: np.ndarray, d: int, cap: int) -> int | None:
+    """Random two-edge swaps (degree-preserving) until no duplicate edges.
+
+    ``rows`` holds d resources per user in user order and is repaired in
+    place.  Returns the swap-iteration count, or None when it passes ``cap``.
+    """
     n_edges = len(rows)
-    counts = Counter(zip(rows.tolist(), cols.tolist()))
+    blocks = rows.reshape(-1, d)  # live view: blocks[c] are user c's resources
+    srt = np.sort(blocks, axis=1)
+    users = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+    sub = blocks[users]
+    repeated = (sub[:, :, None] == sub[:, None, :]).sum(axis=2) > 1
+    dup_idx = (users[:, None] * d + np.arange(d))[repeated]  # ascending edge index
+    # An accepted swap never creates a duplicate, so one pass over dup_idx suffices.
     iters = 0
-    while True:
-        dup_idx = [
-            i for i, e in enumerate(zip(rows.tolist(), cols.tolist())) if counts[e] > 1
-        ]
-        if not dup_idx:
-            return True
-        for i in dup_idx:
-            while counts[(int(rows[i]), int(cols[i]))] > 1:
-                iters += 1
-                if iters > cap:
-                    return False
-                j = int(rng.integers(n_edges))
-                ri, ci = int(rows[i]), int(cols[i])
-                rj, cj = int(rows[j]), int(cols[j])
-                if ri == rj or ci == cj:
-                    continue
-                e_new_1, e_new_2 = (rj, ci), (ri, cj)
-                counts[(ri, ci)] -= 1
-                counts[(rj, cj)] -= 1
-                if counts[e_new_1] == 0 and counts[e_new_2] == 0:
-                    counts[e_new_1] += 1
-                    counts[e_new_2] += 1
-                    rows[i], rows[j] = rj, ri
-                else:
-                    counts[(ri, ci)] += 1
-                    counts[(rj, cj)] += 1
+    for i in dup_idx.tolist():
+        ci = i // d
+        while (blocks[ci] == rows[i]).sum() > 1:
+            iters += 1
+            if iters > cap:
+                return None
+            j = int(rng.integers(n_edges))
+            ri, rj, cj = int(rows[i]), int(rows[j]), j // d
+            if ri == rj or ci == cj:
+                continue
+            if rj not in blocks[ci] and ri not in blocks[cj]:
+                rows[i], rows[j] = rj, ri
+    return iters
 
 
 def generate_signature(
@@ -135,7 +142,9 @@ def generate_signature(
 
     Stub matching gives exact degrees; the swap repair removes the few
     duplicate edges a random matching produces.  If 100 * E swaps do not
-    reach a simple graph the matching is redrawn from scratch.
+    reach a simple graph the matching is redrawn from scratch.  Edges are
+    laid out per user: ``cols`` is 0..K-1 each repeated d times, so user c's
+    resources are ``rows[c*d:(c+1)*d]``, which the repair relies on.
     """
     cfg = SystemConfig(d, beta_d)  # validates the degree pair
     if phase_scheme not in PHASE_SCHEMES:
@@ -154,10 +163,11 @@ def generate_signature(
     rng = _as_rng(seed)
     n_edges = k * d
     cols = np.repeat(np.arange(k), d)
-    for attempt in range(25):
+    for matchings in range(1, 26):
         rows = np.repeat(np.arange(n), beta_d)
         rng.shuffle(rows)
-        if _repair_to_simple(rng, rows, cols, cap=100 * n_edges):
+        swaps = _repair_to_simple(rng, rows, d, cap=100 * n_edges)
+        if swaps is not None:
             break
     else:
         raise GenerationError(
@@ -175,6 +185,7 @@ def generate_signature(
     sig = SignatureMatrix(
         n_resources=n, n_users=k, d=cfg.d, beta_d=cfg.beta_d,
         rows=rows, cols=cols, weights=weights, phase_scheme=phase_scheme,
+        swap_iterations=swaps, matchings=matchings,
     )
     sig.validate()
     return sig

@@ -3,18 +3,21 @@
 import dataclasses
 import math
 import types
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_noma import ConfigurationError, NumericalError, SystemConfig, spectral_density
+from sparse_noma import (
+    ConfigurationError, GenerationError, NumericalError, SystemConfig, spectral_density,
+)
 from sparse_noma.capacity import capacity_lmmse, capacity_optimum, lmmse_error
 from sparse_noma import montecarlo
 from sparse_noma.montecarlo import (
     EmpiricalSpectrum,
     McEstimate,
+    SignatureMatrix,
     compare_to_closed_form,
     empirical_capacity_lmmse,
     empirical_capacity_opt,
@@ -65,6 +68,75 @@ def cycle_spectrum_oracle(sig):
         phi = np.angle(phase)
         eigs.extend(1.0 + np.cos((2.0 * np.pi * np.arange(length) + phi) / length))
     return np.sort(np.asarray(eigs))
+
+
+def reference_repair(rng, rows, cols, cap):
+    """Loop-and-Counter swap repair, kept as the reference for the library's.
+
+    The vectorized repair must leave the same rows, consume the same RNG
+    draws and give up at the same cap, for every seed.
+    """
+    n_edges = len(rows)
+    counts = Counter(zip(rows.tolist(), cols.tolist()))
+    iters = 0
+    while True:
+        dup_idx = [
+            i for i, e in enumerate(zip(rows.tolist(), cols.tolist())) if counts[e] > 1
+        ]
+        if not dup_idx:
+            return True
+        for i in dup_idx:
+            while counts[(int(rows[i]), int(cols[i]))] > 1:
+                iters += 1
+                if iters > cap:
+                    return False
+                j = int(rng.integers(n_edges))
+                ri, ci = int(rows[i]), int(cols[i])
+                rj, cj = int(rows[j]), int(cols[j])
+                if ri == rj or ci == cj:
+                    continue
+                e_new_1, e_new_2 = (rj, ci), (ri, cj)
+                counts[(ri, ci)] -= 1
+                counts[(rj, cj)] -= 1
+                if counts[e_new_1] == 0 and counts[e_new_2] == 0:
+                    counts[e_new_1] += 1
+                    counts[e_new_2] += 1
+                    rows[i], rows[j] = rj, ri
+                else:
+                    counts[(ri, ci)] += 1
+                    counts[(rj, cj)] += 1
+
+
+def reference_generate(n, d, beta_d, phase_scheme, rng):
+    """generate_signature's draw sequence on top of reference_repair."""
+    k = n * beta_d // d
+    n_edges = k * d
+    cols = np.repeat(np.arange(k), d)
+    for _ in range(25):
+        rows = np.repeat(np.arange(n), beta_d)
+        rng.shuffle(rows)
+        if reference_repair(rng, rows, cols, cap=100 * n_edges):
+            break
+    else:
+        raise GenerationError("no simple graph")
+    if phase_scheme == "uniform":
+        weights = np.exp(2j * math.pi * rng.random(n_edges))
+    elif phase_scheme == "binary":
+        weights = (rng.integers(0, 2, n_edges) * 2.0 - 1.0).astype(complex)
+    else:
+        weights = np.ones(n_edges, dtype=complex)
+    return rows, cols, weights
+
+
+def assert_matches_reference(n, d, beta_d, phase_scheme, seed):
+    mine, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    sig = generate_signature(n, d, beta_d, phase_scheme, seed=mine)
+    rows, cols, weights = reference_generate(n, d, beta_d, phase_scheme, theirs)
+    assert np.array_equal(sig.rows, rows)
+    assert np.array_equal(sig.cols, cols)
+    assert np.array_equal(sig.weights, weights)
+    assert mine.random() == theirs.random()  # the same RNG draws were consumed
+    return sig
 
 
 class TestGeneration:
@@ -119,6 +191,106 @@ class TestGeneration:
         sig.validate()
         pairs = set(zip(sig.rows.tolist(), sig.cols.tolist()))
         assert len(pairs) == len(sig.rows)
+
+    @pytest.mark.parametrize("d,bd", [(2, 2), (3, 2), (3, 6), (10, 10)])
+    def test_matches_reference_at_acceptance_pairs(self, d, bd):
+        n = feasible_resources(2000, d, bd)
+        for seed, scheme in enumerate(montecarlo.PHASE_SCHEMES):
+            assert_matches_reference(n, d, bd, scheme, seed)
+
+    @pytest.mark.parametrize("d,bd,n", [(2, 2, 6), (3, 6, 30), (2, 4, 24), (3, 4, 36)])
+    def test_matches_reference_under_heavy_repair(self, d, bd, n):
+        swaps = 0
+        for seed in range(100):
+            for scheme in montecarlo.PHASE_SCHEMES:
+                swaps += assert_matches_reference(n, d, bd, scheme, seed).swap_iterations
+        assert swaps > 0
+
+    @pytest.mark.parametrize("d,bd,n", [(2, 2, 6), (3, 6, 30), (3, 3, 4)])
+    def test_repair_matches_reference_at_the_cap(self, d, bd, n):
+        cols = np.repeat(np.arange(n * bd // d), d)
+        gave_up = 0
+        for seed in range(100):
+            for cap in (1, 2, 5, 1000):
+                rows = np.repeat(np.arange(n), bd)
+                np.random.default_rng(seed).shuffle(rows)
+                mine, theirs = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+                ours, ref = rows.copy(), rows.copy()
+                swaps = montecarlo._repair_to_simple(mine, ours, d, cap)
+                assert (swaps is not None) == reference_repair(theirs, ref, cols, cap)
+                assert np.array_equal(ours, ref)
+                assert mine.random() == theirs.random()
+                gave_up += swaps is None
+        assert gave_up > 0
+
+    def test_repair_counters(self):
+        sig = generate_signature(30, 3, 6, seed=0)
+        assert sig.swap_iterations > 0
+        assert sig.matchings == 1
+
+    def test_repair_failure_after_25_matchings(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_repair_to_simple", lambda rng, rows, d, cap: None)
+        with pytest.raises(GenerationError, match="no simple graph after 25 matchings"):
+            generate_signature(30, 3, 6, seed=0)
+
+    def test_large_draw_is_valid(self):
+        sig = generate_signature(100_000, 10, 10, seed=1)
+        assert sig.n_users == 100_000
+        sig.validate()
+
+
+class TestValidate:
+    @staticmethod
+    def shuffled(rows, cols, n, k, d, bd, seed=0):
+        """A signature with its edges in a random, not user-grouped, order."""
+        perm = np.random.default_rng(seed).permutation(len(rows))
+        rows, cols = np.asarray(rows)[perm], np.asarray(cols)[perm]
+        return SignatureMatrix(n, k, d, bd, rows, cols, np.ones(len(rows), complex), "repetition")
+
+    def valid(self):
+        # 4 resources, 4 users, d = beta_d = 2: the 8-cycle r0 u0 r1 u1 r2 u2 r3 u3
+        rows = [0, 1, 1, 2, 2, 3, 3, 0]
+        cols = [0, 0, 1, 1, 2, 2, 3, 3]
+        return self.shuffled(rows, cols, 4, 4, 2, 2)
+
+    def test_accepts_any_edge_order(self):
+        self.valid().validate()
+
+    def test_duplicate_edge(self):
+        # exact degrees, but each resource is connected twice to the same user
+        sig = self.shuffled([0, 0, 1, 1], [0, 0, 1, 1], 2, 2, 2, 2)
+        with pytest.raises(GenerationError, match="duplicate"):
+            sig.validate()
+
+    def test_wrong_row_degree(self):
+        sig = self.valid()
+        sig.rows[sig.rows == 3] = 0
+        with pytest.raises(GenerationError, match="row degrees"):
+            sig.validate()
+
+    def test_negative_index(self):
+        sig = self.valid()
+        sig.rows[0] = -1
+        with pytest.raises(GenerationError, match="out of range"):
+            sig.validate()
+
+    def test_index_past_the_end(self):
+        sig = self.valid()
+        sig.cols[0] = sig.n_users
+        with pytest.raises(GenerationError, match="out of range"):
+            sig.validate()
+
+    def test_length_mismatch(self):
+        sig = self.valid()
+        sig.weights = sig.weights[:-1]
+        with pytest.raises(GenerationError, match="length"):
+            sig.validate()
+
+    def test_off_circle_weight(self):
+        sig = self.valid()
+        sig.weights[3] = 1.5
+        with pytest.raises(GenerationError, match="unit modulus"):
+            sig.validate()
 
 
 class TestEmpiricalSpectrum:
