@@ -51,7 +51,8 @@ class RatePoint:
 
     snr is None for envelope points, which are time-sharing mixtures rather
     than single operating points.  below_threshold marks ebn0 <= ln 2, where
-    the only fixed point is rate 0.
+    the only fixed point is rate 0.  rate_evals counts the rate-function calls
+    of the solve, residual check included; 0 when nothing was solved.
     """
 
     scheme: str
@@ -63,6 +64,7 @@ class RatePoint:
     beta_d: int | None = None
     route: str = "closed_form"
     below_threshold: bool = False
+    rate_evals: int = 0
 
 
 @dataclass(frozen=True)
@@ -142,8 +144,12 @@ def solve_rate_at_ebn0(
     rate_fn maps linear snr to bits/s/Hz.  R = 0 is always a fixed point;
     above the universal threshold ebn0 > ln 2 a unique positive one exists
     for the capacity curves handled here.  Bracketing doubles an upper bound
-    from 1 until the residual changes sign, then plain bisection runs the
-    interval down to 1e-12.
+    from 1 until the residual changes sign.  ITP (Oliveira & Takahashi, ACM
+    TOMS 47(1), 2020) then keeps shortfall(lo) < 0 <= shortfall(hi) and stops
+    at hi - lo <= 1e-12 * max(1, lo), lo taken after bracketing: regula falsi
+    steps, clipped so no width exceeds bisection's one step earlier, so it
+    needs at most one evaluation more than bisection and about 17 in place
+    of 45 on the sweep lattice.  It returns the midpoint.
     """
     beta = float(beta)
     ebn0 = float(ebn0)
@@ -158,30 +164,42 @@ def solve_rate_at_ebn0(
     )
     if ebn0 <= LN2:
         return zero
+    calls: list[float] = []
 
     def shortfall(r: float) -> float:
+        calls.append(r)
         return r - rate_fn(r * ebn0 / beta)
 
     lo = 1e-18
-    if shortfall(lo) >= 0.0:
+    if (f_lo := shortfall(lo)) >= 0.0:
         # rate function vanishes faster than linearly; no positive rate
         return zero
     hi = 1.0
     doublings = 0
-    while shortfall(hi) < 0.0:
-        lo = hi
+    while (f_hi := shortfall(hi)) < 0.0:
+        lo, f_lo = hi, f_hi
         hi *= 2.0
         doublings += 1
         if doublings > 60:
             raise NumericalError(
                 f"rate bracket did not close for scheme={scheme!r}, beta={beta!r}, ebn0={ebn0!r}"
             )
-    while hi - lo > 1e-12 * max(1.0, hi):
+    eps = 0.5e-12 * max(1.0, lo)
+    kappa1 = 0.2 / (hi - lo)
+    bound = hi - lo  # bisection's width one step earlier; no step may leave a wider bracket
+    while hi - lo > 2.0 * eps:
         mid = 0.5 * (lo + hi)
-        if shortfall(mid) < 0.0:
-            lo = mid
+        falsi = (hi * f_lo - lo * f_hi) / (f_lo - f_hi)
+        delta = kappa1 * (hi - lo) ** 1.5
+        x = falsi + math.copysign(delta, mid - falsi) if delta <= abs(mid - falsi) else mid
+        x = min(max(x, hi - bound), lo + bound)
+        if not lo < x < hi:  # a nudge below one ulp leaves falsi on an end
+            x = mid
+        if (f_x := shortfall(x)) < 0.0:
+            lo, f_lo = x, f_x
         else:
-            hi = mid
+            hi, f_hi = x, f_x
+        bound *= 0.5
     rate = 0.5 * (lo + hi)
     snr = rate * ebn0 / beta
     if abs(rate - rate_fn(snr)) > _RATE_RESIDUAL_TOL:
@@ -189,7 +207,8 @@ def solve_rate_at_ebn0(
             f"fixed-point residual above {_RATE_RESIDUAL_TOL:g} for scheme={scheme!r}, "
             f"beta={beta!r}, ebn0={ebn0!r}"
         )
-    return RatePoint(scheme=scheme, beta=beta, rate=rate, ebn0=ebn0, snr=snr, d=d, beta_d=beta_d)
+    return RatePoint(scheme=scheme, beta=beta, rate=rate, ebn0=ebn0, snr=snr, d=d, beta_d=beta_d,
+                     rate_evals=len(calls) + 1)  # the residual check is one more call
 
 
 def _upper_concave_hull(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:

@@ -7,12 +7,15 @@ harness, and `validate` the named invariant suite.
 
 All dB handling lives here; the library works in linear units throughout.
 Exit codes: 0 success, 1 numerical or validation failure, 2 usage or domain
-error.  Every subcommand is deterministic given its flags and seed.
+error.  Every subcommand is deterministic given its flags and seed.  The
+argument parser is built once per process and reused by every `main` call;
+parsing keeps no state between calls.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -320,6 +323,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if n_fail else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sparse-noma",
@@ -385,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ConfigurationError, DomainError) as exc:

@@ -207,9 +207,6 @@ class EmpiricalSpectrum:
     def second_moment(self) -> float:
         return float(np.mean(self.eigenvalues**2))
 
-    def histogram(self, bins: int = 60):
-        return np.histogram(self.eigenvalues, bins=bins, density=True)
-
 
 def _smaller_gram(sig: SignatureMatrix) -> tuple[sp.csr_matrix, sp.csr_matrix, bool]:
     """A, its unscaled sparse Gram product on the smaller side, and whether that is the user side.

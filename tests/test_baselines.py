@@ -6,7 +6,13 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_noma import ConfigurationError, DomainError, SystemConfig, capacity_optimum
+from sparse_noma import (
+    ConfigurationError,
+    DomainError,
+    SystemConfig,
+    capacity_lmmse,
+    capacity_optimum,
+)
 from sparse_noma.baselines import (
     RatePoint,
     baseline_rate,
@@ -126,6 +132,94 @@ class TestRateSolver:
             for e in (1.0, 3.0, 10.0, 30.0)
         ]
         assert all(b > a for a, b in zip(rates, rates[1:]))
+
+
+def _cover_wyner_fixed_point(ebn0):
+    """Positive root of R = log2(1 + R ebn0) by the Lambert W function, 30 digits.
+
+    With u = 1 + R ebn0 the root is u = -e W_{-1}(-(ln 2 / e) 2^(-1/e)) / ln 2,
+    e = ebn0, on the lower branch (the upper one gives the root R = 0).
+    """
+    with mpmath.workdps(30):
+        e, ln2 = mpmath.mpf(ebn0), mpmath.log(2)
+        u = -e * mpmath.lambertw(-(ln2 / e) * mpmath.power(2, -1 / e), -1) / ln2
+        return float((mpmath.re(u) - 1) / e)
+
+
+class TestRateSolverAccuracy:
+    @pytest.mark.parametrize("beta", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("ebn0", [math.log(2.0) * (1.0 + 1e-6), 0.75, 1.0, 10.0, 1e3, 1e6])
+    def test_cover_wyner_exact_fixed_point(self, ebn0, beta):
+        # the Cover-Wyner fixed point R = log2(1 + R ebn0) does not depend on the load
+        ref = _cover_wyner_fixed_point(ebn0)
+        pt = solve_rate_at_ebn0(
+            lambda snr: baseline_rate("cover_wyner", beta, snr), beta, ebn0, scheme="cover_wyner"
+        )
+        assert abs(pt.rate - ref) <= 1e-12 * max(1.0, ref), (pt.rate, ref)
+
+    def test_reference_at_ten_db(self):
+        assert _cover_wyner_fixed_point(10.0) == pytest.approx(5.90907, abs=1e-5)
+
+
+def _count_cases():
+    """(rate_fn, beta, ebn0, sparse?) for the lattice at 4-18 dB and hard dense cases."""
+    for d in (2, 3, 10):
+        for bd in range(2, 3 * d + 1):
+            cfg = SystemConfig(d, bd)
+            for cap in (capacity_optimum, capacity_lmmse):
+                fn = lambda snr, cap=cap, cfg=cfg: cap(cfg.with_snr(snr)).spectral_efficiency
+                for db in range(4, 19):
+                    yield fn, bd / d, 10.0 ** (db / 10.0), True
+    ln2 = math.log(2.0)
+    for ebn0 in (ln2 * (1.0 + 1e-9), ln2 * (1.0 + 1e-6), 0.75, 1.0, 10.0, 1e3, 1e6):
+        for beta in (0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0):
+            for scheme in ("cover_wyner", "orthogonal", "rs_cdma_opt", "rs_cdma_lmmse"):
+                if scheme == "orthogonal" and beta > 1.0:
+                    continue
+                fn = lambda snr, s=scheme, b=beta: baseline_rate(s, b, snr)
+                yield fn, beta, ebn0, False
+
+
+def _bisection_evals(rate_fn, beta, ebn0):
+    """Rate-function calls of plain bisection on the solver's bracket and exit width."""
+    shortfall = lambda r: r - rate_fn(r * ebn0 / beta)
+    lo, hi, calls = 1e-18, 1.0, 2  # shortfall(1e-18) and shortfall(1)
+    while shortfall(hi) < 0.0:
+        lo, hi, calls = hi, 2.0 * hi, calls + 1
+    width, eps = hi - lo, 0.5e-12 * max(1.0, lo)
+    while width > 2.0 * eps:  # every bisection step halves the bracket
+        width, calls = 0.5 * width, calls + 1
+    return calls + 1  # the residual check
+
+
+class TestRateSolverCost:
+    def test_evaluation_count(self):
+        sparse_counts, worst = [], 0
+        for rate_fn, beta, ebn0, sparse in _count_cases():
+            calls = [0]
+
+            def counted(snr):
+                calls[0] += 1
+                return rate_fn(snr)
+
+            pt = solve_rate_at_ebn0(counted, beta, ebn0)
+            assert pt.rate_evals == calls[0]
+            assert pt.rate_evals <= _bisection_evals(rate_fn, beta, ebn0) + 1, (beta, ebn0)
+            worst = max(worst, pt.rate_evals)
+            if sparse:
+                sparse_counts.append(pt.rate_evals)
+        assert worst <= 49
+        assert sum(sparse_counts) / len(sparse_counts) <= 20.0
+        # no run of wasted steps on a bracket end once the falsi nudge drops below one ulp
+        assert max(sparse_counts) <= 30
+
+    def test_unsolved_points_count_nothing(self):
+        cw = lambda snr: baseline_rate("cover_wyner", 1.0, snr)
+        assert solve_rate_at_ebn0(cw, 1.0, math.log(2.0)).rate_evals == 0
+        assert solve_rate_at_ebn0(lambda snr: snr * snr, 1.0, 2.0).rate_evals == 0
+        table = sweep_load(2, 10.0, [1.0, 2.0])
+        for p in table.points:
+            assert (p.rate_evals > 0) == (p.scheme != "timeshare_envelope")
 
 
 def _pt(beta, rate, ebn0=10.0):

@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import types
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparse_noma import montecarlo
-from sparse_noma.cli import CSV_HEADER, main
+from sparse_noma.cli import CSV_HEADER, build_parser, main
 from sparse_noma.units import db_to_linear, linear_to_db
 
 
@@ -257,6 +260,51 @@ class TestArgparseBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["params", "--d", "3"])
         assert exc.value.code == 2
+
+
+class TestParserReuse:
+    """Several `main` calls in one process share one parser and no parse state."""
+
+    CAPACITY = ("capacity", "--d", "3", "--beta-d", "6", "--snr-db", "10")
+
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_check_list_does_not_carry_over(self, capsys):
+        for name, other in (("rate_solver", "mc_generation"), ("mc_generation", "rate_solver")):
+            code, out, _ = run(capsys, "validate", "--check", name)
+            assert code == 0
+            assert f"PASS {name}" in out
+            assert other not in out
+            assert "1 passed, 0 failed, 0 skipped" in out
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["capacity", "--d", "3", "--snr-db", "ten"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run(capsys, *self.CAPACITY)
+        alone = subprocess.run(
+            [sys.executable, "-m", "sparse_noma", *self.CAPACITY],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(resources.files("sparse_noma").parent)},
+        )
+        assert code == 0
+        assert out == alone.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            CAPACITY,
+            ("sweep", "--d", "2", "--ebn0-db", "10", "--beta-min", "1", "--beta-max", "3",
+             "--beta-steps", "5", "--format", "json"),
+            ("params", "--d", "3", "--beta-d", "2"),
+        ],
+    )
+    def test_second_call_same_bytes(self, capsys, argv):
+        first = run(capsys, *argv)
+        assert first[0] == 0
+        assert run(capsys, *argv) == first
 
 
 class TestUnits:
