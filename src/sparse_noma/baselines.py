@@ -147,9 +147,9 @@ def solve_rate_at_ebn0(
     from 1 until the residual changes sign.  ITP (Oliveira & Takahashi, ACM
     TOMS 47(1), 2020) then keeps shortfall(lo) < 0 <= shortfall(hi) and stops
     at hi - lo <= 1e-12 * max(1, lo), lo taken after bracketing: regula falsi
-    steps, clipped so no width exceeds bisection's one step earlier, so it
-    needs at most one evaluation more than bisection and about 17 in place
-    of 45 on the sweep lattice.  It returns the midpoint.
+    steps clipped so no width exceeds bisection's one step earlier, hence at
+    most one evaluation more than bisection to that width (about 16, not 45,
+    on the sweep lattice).  It returns the midpoint.
     """
     beta = float(beta)
     ebn0 = float(ebn0)
@@ -185,7 +185,7 @@ def solve_rate_at_ebn0(
                 f"rate bracket did not close for scheme={scheme!r}, beta={beta!r}, ebn0={ebn0!r}"
             )
     eps = 0.5e-12 * max(1.0, lo)
-    kappa1 = 0.2 / (hi - lo)
+    kappa1 = 0.2 / (hi - lo)  # ITP constants: this kappa1, kappa2 = 1.5, n0 = 1
     bound = hi - lo  # bisection's width one step earlier; no step may leave a wider bracket
     while hi - lo > 2.0 * eps:
         mid = 0.5 * (lo + hi)
