@@ -1,12 +1,18 @@
 """Finite-size validation harness: generation, spectra, and estimators."""
 
+import ctypes
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import types
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sparse_noma import (
@@ -14,7 +20,9 @@ from sparse_noma import (
 )
 from sparse_noma.capacity import capacity_lmmse, capacity_optimum, lmmse_error
 from sparse_noma import montecarlo
+from sparse_noma.checks import MC_CONFIGS
 from sparse_noma.montecarlo import (
+    KS_MIN_RESOURCES,
     EmpiricalSpectrum,
     McEstimate,
     SignatureMatrix,
@@ -504,6 +512,120 @@ class TestFactorFailures:
         sig = generate_signature(n, d, bd, seed=23)
         with pytest.raises(NumericalError):
             lmmse_diagonal(sig, math.inf)
+
+
+def hermitian(rng, m, complex_):
+    x = rng.standard_normal((m, m))
+    if complex_:
+        x = x + 1j * rng.standard_normal((m, m))
+    return (x + x.conj().T) / 2
+
+
+def block_diagonal(rng, m, complex_):
+    sizes = [s for s in (m // 3, m // 3, m - 2 * (m // 3)) if s]
+    return sla.block_diag(*(hermitian(rng, s, complex_) for s in sizes))
+
+
+MATRICES = {
+    "random": hermitian,
+    "zero": lambda rng, m, complex_: np.zeros((m, m)),
+    "identity": lambda rng, m, complex_: np.eye(m),
+    "diagonal": lambda rng, m, complex_: np.diag(rng.uniform(-3.0, 7.0, m)),
+    "block": block_diagonal,
+}
+
+
+def eigvalsh_spectrum(sig):
+    """empirical_spectrum's eigenvalues by numpy.linalg.eigvalsh on the same Gram matrix."""
+    _, gram, _ = montecarlo._smaller_gram(sig)
+    eigs = np.linalg.eigvalsh(gram.toarray() / sig.d)
+    eigs = np.concatenate([np.zeros(sig.n_resources - len(eigs)), eigs])
+    return np.sort(np.clip(eigs, 0.0, None))
+
+
+def moved_eigenvalue_driver(delta):
+    """The two-stage complex driver, then +delta on the smallest and -delta on the largest value."""
+    name, real = montecarlo._two_stage_driver(True)
+
+    def moved(layout, jobz, uplo, n, a, lda, w):
+        info = real(layout, jobz, uplo, n, a, lda, w)
+        lam = np.ctypeslib.as_array(ctypes.cast(w, ctypes.POINTER(ctypes.c_double)), (n,))
+        lam[0] += delta
+        lam[-1] -= delta
+        return info
+
+    return lambda complex_: (name, moved)
+
+
+class TestEigensolveDriver:
+    """The two-stage LAPACK route against numpy.linalg.eigvalsh, its fallback and its guards."""
+
+    @pytest.mark.parametrize("kind", list(MATRICES))
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 17, 300])
+    def test_matches_eigvalsh(self, m, complex_, kind):
+        rng = np.random.default_rng([m, complex_, len(kind)])
+        mat = MATRICES[kind](rng, m, complex_).astype(complex if complex_ else float)
+        want = np.linalg.eigvalsh(mat)
+        got, driver = montecarlo._eigvalsh(sp.csr_matrix(mat), 1.0)
+        assert driver == ("zheevd_2stage" if complex_ else "dsyevd_2stage")
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
+    def test_single_precision_gram_is_widened(self, dtype):
+        mat = hermitian(np.random.default_rng(28), 40, np.iscomplexobj(dtype(0))).astype(dtype)
+        got, _ = montecarlo._eigvalsh(sp.csr_matrix(mat), 2.0)
+        want = np.linalg.eigvalsh(mat.astype(np.complex128) / 2.0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("d, bd", MC_CONFIGS)
+    def test_acceptance_pair_matches_eigvalsh(self, d, bd):
+        n = feasible_resources(KS_MIN_RESOURCES, d, bd)
+        rng = np.random.default_rng([40_000 + d * 100 + bd, 0])  # criterion 4's first draw
+        sig = generate_signature(n, d, bd, "uniform", rng)
+        spec = empirical_spectrum(sig)
+        want = eigvalsh_spectrum(sig)
+        assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * max(1.0, want[-1])
+        dens = spectral_density(SystemConfig(d, bd))
+        reference = EmpiricalSpectrum(eigenvalues=want, n_resources=n, n_users=sig.n_users)
+        assert abs(ks_distance(spec, dens) - ks_distance(reference, dens)) <= 1e-12
+
+    def test_two_stage_driver_runs_on_this_platform(self):
+        # a silent fallback would keep every result and lose the speed
+        for scheme, driver in (("uniform", "zheevd_2stage"), ("binary", "dsyevd_2stage")):
+            assert empirical_spectrum(generate_signature(60, 3, 6, scheme, seed=24)).driver == driver
+
+    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
+    def test_fallback_without_the_driver(self, monkeypatch, scheme):
+        sig = generate_signature(300, 3, 6, scheme, seed=25)
+        two_stage = empirical_spectrum(sig).eigenvalues
+        monkeypatch.setattr(montecarlo, "_two_stage_driver", lambda complex_: None)
+        fallback = empirical_spectrum(sig)
+        assert fallback.driver == "eigvalsh"
+        assert np.max(np.abs(fallback.eigenvalues - two_stage)) <= 1e-12 * max(1.0, two_stage[-1])
+
+    def test_driver_failure_is_numerical_error(self, monkeypatch):
+        failing = ("zheevd_2stage", lambda *args: -5)
+        monkeypatch.setattr(montecarlo, "_two_stage_driver", lambda complex_: failing)
+        with pytest.raises(NumericalError, match="zheevd_2stage info -5"):
+            empirical_spectrum(generate_signature(60, 3, 6, seed=26))
+
+    def test_moved_eigenvalues_fail_the_second_moment_identity(self, monkeypatch):
+        # the trace and so the mean check stay intact; only the second identity sees the move
+        sig = generate_signature(60, 3, 6, seed=27)
+        monkeypatch.setattr(montecarlo, "_two_stage_driver", moved_eigenvalue_driver(0.0))
+        empirical_spectrum(sig)
+        monkeypatch.setattr(montecarlo, "_two_stage_driver", moved_eigenvalue_driver(1e-6))
+        with pytest.raises(NumericalError, match="squared eigenvalues"):
+            empirical_spectrum(sig)
+
+    def test_import_does_not_bind(self):
+        probe = "import sparse_noma.montecarlo as m; print(m._two_stage_driver.cache_info().currsize)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(montecarlo.__file__))},
+        )
+        assert out.stdout.strip() == "0"
 
 
 class TestKsDistance:
