@@ -53,25 +53,21 @@ class HighSnrParams:
     l_inf: float | None
 
 
-def _validated(d: int, beta_d: int) -> SystemConfig:
-    return SystemConfig(d, beta_d)
-
-
 def low_snr_optimum(d: int, beta_d: int) -> LowSnrParams:
-    cfg = _validated(d, beta_d)
+    cfg = SystemConfig(d, beta_d)
     # 2*beta*d / (d(beta+1) - 1) reduces to the integer form below
     s0 = Fraction(2 * cfg.beta_d, cfg.beta_d + cfg.d - 1)
     return LowSnrParams(ebn0_min=LN2, s0=float(s0))
 
 
 def low_snr_lmmse(d: int, beta_d: int) -> LowSnrParams:
-    cfg = _validated(d, beta_d)
+    cfg = SystemConfig(d, beta_d)
     s0 = Fraction(2 * cfg.beta_d, 2 * cfg.beta_d + cfg.d - 2)
     return LowSnrParams(ebn0_min=LN2, s0=float(s0))
 
 
 def high_snr_optimum(d: int, beta_d: int) -> HighSnrParams:
-    cfg = _validated(d, beta_d)
+    cfg = SystemConfig(d, beta_d)
     beta = cfg.beta_exact
     b = float(beta)
     d_ = cfg.d
@@ -89,7 +85,7 @@ def high_snr_optimum(d: int, beta_d: int) -> HighSnrParams:
 
 
 def high_snr_lmmse(d: int, beta_d: int) -> HighSnrParams:
-    cfg = _validated(d, beta_d)
+    cfg = SystemConfig(d, beta_d)
     beta = cfg.beta_exact
     b = float(beta)
     if beta < 1:

@@ -40,7 +40,8 @@ from .spectral import SystemConfig, density_at, derive_params, spectral_density
 from .svgplot import sweep_svg
 from .units import db_to_linear, linear_to_db
 
-CSV_HEADER = "scheme,d,beta_d,beta,ebn0_db,snr,rate,route,stderr"
+RATE_COLUMNS = ("scheme", "d", "beta_d", "beta", "ebn0_db", "snr", "rate", "route", "stderr")
+CSV_HEADER = ",".join(RATE_COLUMNS)
 _KS_SUBSTREAM = 2**31 - 1  # distinct from any per-trial substream index
 
 
@@ -54,9 +55,8 @@ def _fmt(value: Any) -> str:
 
 
 def _csv_lines(rows: Iterable[dict], comments: Iterable[str] = ()) -> list[str]:
-    cols = CSV_HEADER.split(",")
     lines = ["# schema=v1", *comments, CSV_HEADER]
-    lines.extend(",".join(_fmt(row.get(c)) for c in cols) for row in rows)
+    lines.extend(",".join(_fmt(row[c]) for c in RATE_COLUMNS) for row in rows)
     return lines
 
 
@@ -72,22 +72,10 @@ def _emit_json(obj: dict, out: str | None) -> None:
     _emit(json.dumps(obj, indent=2), out)
 
 
-def _rate_row(
-    scheme: str,
-    beta: float,
-    rate: float,
-    route: str,
-    d: int | None = None,
-    beta_d: int | None = None,
-    ebn0_db: float | None = None,
-    snr: float | None = None,
-    stderr: float | None = None,
-) -> dict:
-    return {
-        "scheme": scheme, "d": d, "beta_d": beta_d, "beta": beta,
-        "ebn0_db": ebn0_db, "snr": snr, "rate": rate, "route": route,
-        "stderr": stderr,
-    }
+def _rate_row(**cells: Any) -> dict:
+    """One rate row in RATE_COLUMNS order, None where a cell is not given."""
+    assert cells.keys() <= set(RATE_COLUMNS), cells.keys()
+    return {c: cells.get(c) for c in RATE_COLUMNS}
 
 
 def cmd_params(args: argparse.Namespace) -> int:
@@ -152,20 +140,16 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 def _capacity_rows(cfg: SystemConfig) -> list[dict]:
     beta = cfg.beta
+    sparse = dict(d=cfg.d, beta_d=cfg.beta_d, beta=beta, snr=cfg.snr, route="closed_form")
     rows = [
-        _rate_row(
-            "sparse_opt", beta, capacity_optimum(cfg).spectral_efficiency,
-            "closed_form", d=cfg.d, beta_d=cfg.beta_d, snr=cfg.snr,
-        ),
-        _rate_row(
-            "sparse_lmmse", beta, capacity_lmmse(cfg).spectral_efficiency,
-            "closed_form", d=cfg.d, beta_d=cfg.beta_d, snr=cfg.snr,
-        ),
+        _rate_row(scheme="sparse_opt", rate=capacity_optimum(cfg).spectral_efficiency, **sparse),
+        _rate_row(scheme="sparse_lmmse", rate=capacity_lmmse(cfg).spectral_efficiency, **sparse),
     ]
     for scheme in ("rs_cdma_opt", "rs_cdma_lmmse", "orthogonal", "cover_wyner"):
         if scheme == "orthogonal" and beta > 1.0:
             continue
-        rows.append(_rate_row(scheme, beta, baseline_rate(scheme, beta, cfg.snr), "closed_form", snr=cfg.snr))
+        rate = baseline_rate(scheme, beta, cfg.snr)
+        rows.append(_rate_row(scheme=scheme, beta=beta, snr=cfg.snr, rate=rate, route="closed_form"))
     return rows
 
 
@@ -195,8 +179,8 @@ def _sweep_rows(table: SweepTable) -> list[dict]:
     ebn0_db = linear_to_db(table.ebn0)
     return [
         _rate_row(
-            p.scheme, p.beta, p.rate, p.route, d=p.d, beta_d=p.beta_d,
-            ebn0_db=ebn0_db, snr=p.snr,
+            scheme=p.scheme, d=p.d, beta_d=p.beta_d, beta=p.beta, ebn0_db=ebn0_db,
+            snr=p.snr, rate=p.rate, route=p.route,
         )
         for p in table.points
     ]
@@ -277,18 +261,16 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         _emit_json(payload, args.out)
     else:
         scheme_of = {"optimum": "sparse_opt", "lmmse": "sparse_lmmse"}
+        cells = dict(d=cfg.d, beta_d=cfg.beta_d, beta=cfg.beta, snr=cfg.snr)
         rows = []
         for name, r in receivers.items():
             rows.append(
-                _rate_row(
-                    scheme_of[name], cfg.beta, r["closed_form"], "closed_form",
-                    d=cfg.d, beta_d=cfg.beta_d, snr=cfg.snr,
-                )
+                _rate_row(scheme=scheme_of[name], rate=r["closed_form"], route="closed_form", **cells)
             )
             rows.append(
                 _rate_row(
-                    scheme_of[name], cfg.beta, r["estimate"], "monte_carlo",
-                    d=cfg.d, beta_d=cfg.beta_d, snr=cfg.snr, stderr=r["stderr"],
+                    scheme=scheme_of[name], rate=r["estimate"], route="monte_carlo",
+                    stderr=r["stderr"], **cells,
                 )
             )
         comments = []

@@ -105,6 +105,15 @@ class TestOptimum:
                 oracle.spectral_efficiency, abs=1e-9
             )
 
+    @pytest.mark.parametrize("d", (2, 3, 10))
+    @pytest.mark.parametrize("snr_db", (110, 120, 150))
+    def test_oracle_at_full_load_and_high_snr(self, d, snr_db):
+        # beta = 1: lambda_minus = 0, so log1p(snr*lam) has a kink of width
+        # about 1/sqrt(snr) at the lower support edge
+        cfg = SystemConfig(d, d, 10.0 ** (snr_db / 10.0))
+        oracle = capacity_integral_oracle(cfg).spectral_efficiency
+        assert abs(oracle - capacity_optimum(cfg).spectral_efficiency) <= 1e-12
+
     @given(d=degrees, bd=degrees, snr=snrs)
     @settings(max_examples=60)
     def test_receiver_ordering(self, d, bd, snr):

@@ -1,7 +1,10 @@
 """Tests for the limiting-spectrum layer: parameters, transform, density."""
 
 import math
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +23,25 @@ from sparse_noma import (
 )
 
 degrees = st.integers(min_value=2, max_value=40)
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def reference_ensemble(d, bd):
+    """The benchmark's independent mpmath form of the limiting law."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        from reference import Ensemble
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return Ensemble(d, bd)
+
+
+def reference_cdf(ens, x):
+    """Atom plus tanh-sinh quadrature of the density in lam, on pieces graded
+    toward lam_-, where the density rises over a width about lam_-."""
+    x = mp.mpf(x)
+    pieces = [ens.lam_minus + (x - ens.lam_minus) * mp.mpf(10) ** -k for k in range(8, 0, -1)]
+    return ens.atom + mp.quad(ens.density, [ens.lam_minus, *pieces, x])
 
 
 class TestSystemConfig:
@@ -195,6 +217,18 @@ class TestQuadrature:
         with pytest.raises(NumericalError):
             integrate_against_density(dens, lambda lam: np.where(lam > 1.0, np.inf, 1.0))
 
+    def test_constant_integrand(self):
+        # a scalar result broadcasts to the nodes; the atom takes it too
+        for d, bd in ((3, 2), (2, 2), (3, 6)):
+            dens = spectral_density(SystemConfig(d, bd))
+            assert integrate_against_density(dens, lambda lam: 2.5) == pytest.approx(2.5, abs=1e-12)
+
+    def test_unresolved_integrand_stops_at_the_panel_cap(self):
+        # about 3e4 oscillations on the support: no panel budget resolves them
+        dens = spectral_density(SystemConfig(2, 2))
+        with pytest.raises(NumericalError, match="more than 4096 panels"):
+            integrate_against_density(dens, lambda lam: np.sin(1e6 * lam))
+
 
 class TestLimitingCdf:
     def test_arcsine_closed_form(self):
@@ -210,6 +244,19 @@ class TestLimitingCdf:
         assert vals[1] == pytest.approx(1 / 3, abs=1e-12)
         assert vals[2] == pytest.approx(1.0, abs=1e-10)
         assert vals[3] == 1.0
+
+    @pytest.mark.parametrize("d, bd", [(50, 51), (100, 101), (1000, 1001)])
+    def test_near_unit_load_against_reference(self, d, bd):
+        # lambda_minus is small but positive here, so the weight rises steeply
+        # near the lower support edge
+        dens = spectral_density(SystemConfig(d, bd))
+        p = dens.params
+        lams = p.lambda_minus + (p.lambda_plus - p.lambda_minus) * np.array([1e-4, 0.01, 0.1, 0.5, 0.9])
+        vals = limiting_cdf(dens, lams)
+        with mp.workdps(30):
+            ens = reference_ensemble(d, bd)
+            for lam, val in zip(lams, vals):
+                assert abs(val - reference_cdf(ens, lam)) < 1e-10
 
     @given(d=degrees, bd=degrees)
     @settings(max_examples=25)
