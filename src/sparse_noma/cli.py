@@ -42,6 +42,7 @@ from .units import db_to_linear, linear_to_db
 
 RATE_COLUMNS = ("scheme", "d", "beta_d", "beta", "ebn0_db", "snr", "rate", "route", "stderr")
 CSV_HEADER = ",".join(RATE_COLUMNS)
+_BLANK_ROW = dict.fromkeys(RATE_COLUMNS)
 _KS_SUBSTREAM = 2**31 - 1  # distinct from any per-trial substream index
 
 
@@ -74,8 +75,7 @@ def _emit_json(obj: dict, out: str | None) -> None:
 
 def _rate_row(**cells: Any) -> dict:
     """One rate row in RATE_COLUMNS order, None where a cell is not given."""
-    assert cells.keys() <= set(RATE_COLUMNS), cells.keys()
-    return {c: cells.get(c) for c in RATE_COLUMNS}
+    return _BLANK_ROW | cells
 
 
 def cmd_params(args: argparse.Namespace) -> int:
