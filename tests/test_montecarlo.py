@@ -2,6 +2,7 @@
 
 import ctypes
 import dataclasses
+import functools
 import math
 import os
 import subprocess
@@ -626,6 +627,126 @@ class TestEigensolveDriver:
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(montecarlo.__file__))},
         )
         assert out.stdout.strip() == "0"
+
+
+def hand_built(edges, n, k, d, bd, weights):
+    """A SignatureMatrix from (resource, user) edges in user order."""
+    rows, cols = (np.array(x) for x in zip(*edges))
+    sig = SignatureMatrix(n, k, d, bd, rows, cols, np.asarray(weights, dtype=complex), "uniform")
+    sig.validate()
+    return sig
+
+
+# users 0 and 1 share resources 0 and 1 (a 2-cycle: one Gram neighbour each),
+# users 2, 3, 4 close a cycle through resources 2, 3, 4
+TWO_CYCLE_EDGES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (2, 4)]
+TWO_CYCLES = {
+    "uniform": lambda: hand_built(
+        TWO_CYCLE_EDGES, 5, 5, 2, 2, np.exp(2j * np.pi * np.random.default_rng(29).random(10))),
+    # 1*1 + 1*(-1): the 2-cycle's off-diagonal entry cancels, leaving two isolated vertices
+    "binary": lambda: hand_built(TWO_CYCLE_EDGES, 5, 5, 2, 2, [1, 1, 1, -1, 1, -1, 1, 1, -1, 1]),
+    # K > N: on the resource side each resource's three users all lead to one other resource
+    "resource side": lambda: hand_built(
+        [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2), (2, 3), (3, 3), (2, 4), (3, 4), (2, 5), (3, 5)],
+        4, 6, 2, 3, np.exp(2j * np.pi * np.random.default_rng(30).random(12))),
+}
+
+
+def dense_mmse(sig, snr):
+    a = sig.to_sparse().toarray()
+    return np.real(np.diag(np.linalg.inv(np.eye(sig.n_users) + snr * (a.conj().T @ a) / sig.d)))
+
+
+def dense_logdet(sig, snr):
+    return 2.0 * np.log(montecarlo._cholesky(sig, snr)[0].diagonal().real).sum()
+
+
+def band_logdet(sig, snr):
+    low, order, _, _ = montecarlo._factor(sig, snr)
+    assert order is not None  # the banded route ran
+    return 2.0 * np.log(low[0].real).sum()
+
+
+class TestBandRoute:
+    """(2,2) Grams are paths and cycles: banded LAPACK against the dense routes."""
+
+    SNR, SEED = 10.0, 40_202  # trial 0 of SEED is criterion 4's first (2,2) draw
+
+    @staticmethod
+    @functools.cache
+    def signature(n, scheme):
+        return generate_signature(n, 2, 2, scheme, np.random.default_rng([TestBandRoute.SEED, 0]))
+
+    @pytest.mark.parametrize("n", [3, 4, 60, 2000])
+    @pytest.mark.parametrize("scheme", ["uniform", "binary", "repetition"])
+    def test_spectrum_matches_eigvalsh(self, scheme, n):
+        sig = self.signature(n, scheme)
+        _, gram, _ = montecarlo._smaller_gram(sig)
+        ab, order = montecarlo._narrow_band(gram)
+        assert ab.shape == (3, sig.n_users) and sorted(order) == list(range(sig.n_users))
+        spec = empirical_spectrum(sig)
+        assert spec.driver == ("zhbevd" if scheme == "uniform" else "dsbevd")
+        want = eigvalsh_spectrum(sig)
+        assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * max(1.0, want[-1])
+
+    @pytest.mark.parametrize("n", [3, 4, 60, 2000])
+    @pytest.mark.parametrize("scheme", ["uniform", "binary", "repetition"])
+    def test_logdet_matches_dense_cholesky(self, scheme, n):
+        sig = self.signature(n, scheme)
+        want = dense_logdet(sig, self.SNR)
+        assert band_logdet(sig, self.SNR) == pytest.approx(want, rel=1e-12, abs=0.0)
+        cfg = SystemConfig(2, 2, self.SNR)
+        est = empirical_capacity_opt(n, cfg, trials=1, seed=self.SEED, phase_scheme=scheme)
+        assert est.estimate == pytest.approx(want / (n * math.log(2.0)), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [3, 4, 60, 2000])
+    @pytest.mark.parametrize("scheme", ["uniform", "binary", "repetition"])
+    def test_lmmse_diagonal_matches_inverse(self, scheme, n):
+        sig = self.signature(n, scheme)
+        got = lmmse_diagonal(sig, self.SNR)
+        assert np.allclose(got, dense_mmse(sig, self.SNR), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case", list(TWO_CYCLES))
+    def test_hand_built_paths(self, case):
+        sig = TWO_CYCLES[case]()
+        _, gram, user_side = montecarlo._smaller_gram(sig)
+        assert user_side == (case != "resource side")
+        assert min(np.diff(gram.indptr)) < 3  # a component is a path, not a cycle
+        spec = empirical_spectrum(sig)
+        assert spec.driver in ("zhbevd", "dsbevd")
+        want = eigvalsh_spectrum(sig)
+        assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * max(1.0, want[-1])
+        assert band_logdet(sig, self.SNR) == pytest.approx(dense_logdet(sig, self.SNR), rel=1e-12)
+        assert np.allclose(lmmse_diagonal(sig, self.SNR), dense_mmse(sig, self.SNR), rtol=1e-12, atol=0.0)
+
+    def test_failed_band_cholesky_is_numerical_error(self):
+        # I - G/d has eigenvalues -cos(...), so pbtrf meets a nonpositive pivot
+        with pytest.raises(NumericalError, match="pbtrf"):
+            montecarlo._factor(self.signature(60, "uniform"), -1.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_infinite_snr_is_numerical_error(self):
+        with pytest.raises(NumericalError):
+            lmmse_diagonal(self.signature(60, "uniform"), math.inf)
+
+    @pytest.mark.parametrize("d, bd", [(3, 2), (3, 6), (10, 10)])
+    def test_other_pairs_stay_dense(self, d, bd):
+        for scheme, driver in (("uniform", "zheevd_2stage"), ("binary", "dsyevd_2stage")):
+            sig = generate_signature(feasible_resources(300, d, bd), d, bd, scheme, seed=31)
+            assert empirical_spectrum(sig).driver == driver
+            assert montecarlo._factor(sig, self.SNR)[1] is None
+
+    def test_csgraph_is_not_imported(self):
+        probe = (
+            "import sys, sparse_noma.montecarlo as m; "
+            "print(m.empirical_spectrum(m.generate_signature(200, 2, 2, seed=1)).driver, "
+            "'scipy.sparse.csgraph' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(montecarlo.__file__))},
+        )
+        assert out.stdout.split() == ["zhbevd", "False"]
 
 
 class TestKsDistance:
