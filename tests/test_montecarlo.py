@@ -640,7 +640,7 @@ def hand_built(edges, n, k, d, bd, weights):
 # users 0 and 1 share resources 0 and 1 (a 2-cycle: one Gram neighbour each),
 # users 2, 3, 4 close a cycle through resources 2, 3, 4
 TWO_CYCLE_EDGES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (2, 4)]
-TWO_CYCLES = {
+HAND_BUILT = {
     "uniform": lambda: hand_built(
         TWO_CYCLE_EDGES, 5, 5, 2, 2, np.exp(2j * np.pi * np.random.default_rng(29).random(10))),
     # 1*1 + 1*(-1): the 2-cycle's off-diagonal entry cancels, leaving two isolated vertices
@@ -706,9 +706,9 @@ class TestBandRoute:
         got = lmmse_diagonal(sig, self.SNR)
         assert np.allclose(got, dense_mmse(sig, self.SNR), rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("case", list(TWO_CYCLES))
+    @pytest.mark.parametrize("case", list(HAND_BUILT))
     def test_hand_built_paths(self, case):
-        sig = TWO_CYCLES[case]()
+        sig = HAND_BUILT[case]()
         _, gram, user_side = montecarlo._smaller_gram(sig)
         assert user_side == (case != "resource side")
         assert min(np.diff(gram.indptr)) < 3  # a component is a path, not a cycle
