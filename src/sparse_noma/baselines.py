@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
-from .capacity import capacity_lmmse, capacity_optimum
+from .capacity import _kernel_terms, capacity_lmmse, capacity_optimum
 from .errors import ConfigurationError, DomainError, NumericalError
 from .spectral import SystemConfig
 from .units import LN2, LOG2E
@@ -77,35 +77,6 @@ class SweepTable:
     degenerate: bool = False  # envelope built from fewer than 2 generators
 
 
-def _rs_cdma_terms(x: float, z: float) -> tuple[float, float, float]:
-    """ln(1 + x - F/4), ln(1 + z x - F/4) and F/(4x) for F = kernel_F(x, z).
-
-    None of them cancels or forms x^2.  F/(4x) = 4 x z / (p + q)^2,
-    with p, q the two roots inside F.  With w = x (1 - z) the log arguments are
-    (p q + 1 + w)/2 and (p q + 1 - w)/2.  Where the sum cancels (w < -1,
-    resp. w > 1) the conjugate forms 2 x z / (p q - 1 - w) and
-    2 x / (p q - 1 + w) replace it; elsewhere log1p takes the excess over 1,
-    with p q - 1 = (p - 1) q + (q - 1) built from nonnegative parts so low
-    SNR keeps its relative precision.
-    """
-    rz = math.sqrt(z)
-    a = (1.0 + rz) ** 2
-    b = (1.0 - rz) ** 2
-    p = math.sqrt(x * a + 1.0)
-    q = math.sqrt(x * b + 1.0)
-    pq_m1 = x * a / (1.0 + p) * q + x * b / (1.0 + q)
-    w = x * (1.0 - z)
-    if w < -1.0:
-        user = math.log(2.0 * x * z / (pq_m1 - w))
-    else:
-        user = math.log1p((pq_m1 + w) / 2.0)
-    if w > 1.0:
-        load = math.log(2.0 * x / (pq_m1 + w))
-    else:
-        load = math.log1p((pq_m1 - w) / 2.0)
-    return user, load, 4.0 * z * (x / ((p + q) * (p + q)))
-
-
 def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     """Dense-baseline spectral efficiency in bits/s/Hz at linear snr."""
     beta = float(beta)
@@ -122,11 +93,10 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
             raise DomainError(f"orthogonal transmission requires beta <= 1, got {beta!r}")
         return beta * math.log1p(snr) / LN2
     if scheme == "rs_cdma_opt":
-        user, load, f_over_4x = _rs_cdma_terms(snr, beta)
-        return beta * user / LN2 + load / LN2 - f_over_4x * LOG2E
+        u, l, _, f_over_4x = _kernel_terms(snr, beta)
+        return beta * math.log1p(u) / LN2 + math.log1p(l) / LN2 - f_over_4x * LOG2E
     if scheme == "rs_cdma_lmmse":
-        user, _, _ = _rs_cdma_terms(snr, beta)
-        return beta * user / LN2
+        return beta * math.log1p(_kernel_terms(snr, beta)[0]) / LN2
     raise DomainError(f"unknown baseline scheme {scheme!r}; pick from {_DENSE_SCHEMES}")
 
 

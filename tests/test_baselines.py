@@ -25,6 +25,12 @@ loads = st.floats(min_value=0.05, max_value=5.0)
 DENSE = ("cover_wyner", "rs_cdma_opt", "rs_cdma_lmmse")
 
 
+def mp_kernel_F(x, z):
+    """F(x, z) straight from its radicals, at the caller's mpmath precision."""
+    rz = mpmath.sqrt(z)
+    return (mpmath.sqrt(x * (1 + rz) ** 2 + 1) - mpmath.sqrt(x * (1 - rz) ** 2 + 1)) ** 2
+
+
 class TestBaselineRate:
     def test_cover_wyner_value(self):
         assert baseline_rate("cover_wyner", 1.0, 10.0) == pytest.approx(math.log2(11.0), rel=1e-15)
@@ -72,14 +78,49 @@ class TestBaselineRate:
             for snr_db in range(-40, 121, 5):
                 snr = 10.0 ** (snr_db / 10.0)
                 x = mpmath.mpf(snr)
-                f = (mpmath.sqrt(x * (1 + mpmath.sqrt(z)) ** 2 + 1)
-                     - mpmath.sqrt(x * (1 - mpmath.sqrt(z)) ** 2 + 1)) ** 2
+                f = mp_kernel_F(x, z)
                 lmmse = z * mpmath.log(1 + x - f / 4, 2)
                 opt = lmmse + mpmath.log(1 + z * x - f / 4, 2) - f / (4 * x) / mpmath.log(2)
                 for scheme, ref in (("rs_cdma_opt", opt), ("rs_cdma_lmmse", lmmse)):
                     err = abs(baseline_rate(scheme, beta, snr) - ref)
                     bar = 1e-12 if snr_db >= -10 else 1e-13 * abs(ref)
                     assert err < bar, (scheme, snr_db, float(err))
+
+
+def paper_closed_forms(d, beta_d, snr):
+    """The paper's optimum and LMMSE closed forms in bits, evaluated directly.
+
+    Both subtract F/4 from terms that grow with snr, so the digits lost grow
+    with |log10 snr|; the working precision grows with it.
+    """
+    with mpmath.workdps(30 + abs(math.log10(snr))):
+        s, d, beta_d = mpmath.mpf(snr), mpmath.mpf(d), mpmath.mpf(beta_d)
+        alpha, gamma, beta = (d - 1) / d, (beta_d - 1) / d, beta_d / d
+        z, zeta = alpha / gamma, beta_d / gamma
+        x = gamma * s
+        f4 = mp_kernel_F(x, z) / 4
+        a, b = (1 + mpmath.sqrt(z)) ** 2, (1 - mpmath.sqrt(z)) ** 2
+        big, small = zeta - b, zeta - a
+        g = ((mpmath.sqrt(big * (x * a + 1)) - mpmath.sqrt(small * (x * b + 1)))
+             / (mpmath.sqrt(big) - mpmath.sqrt(small))) ** 2
+        opt = ((beta * (d - 1) + 1) / 2 * mpmath.log(1 + (gamma + alpha) * s - f4)
+               + (beta - 1) * mpmath.log(1 + alpha * s - f4)
+               - (beta * (d - 1) - 1) / 2 * mpmath.log((1 + beta_d * s) ** 2 / g))
+        lmmse = beta * (mpmath.log(1 + beta_d * s) - mpmath.log(1 + d * gamma * s - d * f4))
+        return opt / mpmath.log(2), lmmse / mpmath.log(2)
+
+
+@pytest.mark.parametrize(
+    "d,beta_d", [(2, 2), (3, 2), (2, 3), (3, 6), (10, 3), (10, 30), (50, 3), (2, 12)]
+)
+def test_sparse_closed_forms_match_paper_formula(d, beta_d):
+    for e in range(-48, 601):
+        snr = 10.0 ** (e / 4)
+        opt, lmmse = paper_closed_forms(d, beta_d, snr)
+        cfg = SystemConfig(d, beta_d, snr)
+        for name, fn, ref in (("optimum", capacity_optimum, opt), ("lmmse", capacity_lmmse, lmmse)):
+            err = abs(fn(cfg).spectral_efficiency / ref - 1)
+            assert err < 1e-12, (name, snr, float(err))
 
 
 class TestRateSolver:

@@ -151,6 +151,23 @@ class TestLmmse:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("closed_form", (capacity_optimum, capacity_lmmse))
+class TestSupportedSnrRange:
+    def test_finite_at_1e300(self, closed_form):
+        rate = closed_form(SystemConfig(3, 6, 1e300)).spectral_efficiency
+        assert math.isfinite(rate) and rate > 0.0
+
+    @pytest.mark.parametrize("d,bd", ((2, 2), (3, 2), (2, 100), (1000, 1000), (10**5, 10**5)))
+    def test_finite_at_the_stated_bound(self, closed_form, d, bd):
+        rate = closed_form(SystemConfig(d, bd, 1e306 / bd**2)).spectral_efficiency
+        assert math.isfinite(rate) and rate > 0.0
+
+    @pytest.mark.parametrize("d,bd,snr", ((2, 2, 1e308), (3, 6, 1e305), (1000, 1000, 1e301)))
+    def test_beyond_the_bound_names_the_range(self, closed_form, d, bd, snr):
+        with pytest.raises(DomainError, match=r"0 <= snr <= 1e306 / beta_d\^2"):
+            closed_form(SystemConfig(d, bd, snr))
+
+
 class TestLmmseError:
     def test_zero_snr_identity(self):
         err = lmmse_error(SystemConfig(3, 2, 0.0))

@@ -164,6 +164,15 @@ class TestSweep:
         assert code == 2
         assert "beta-max" in err
 
+    @pytest.mark.parametrize("d", ["2", "3", "10"])
+    def test_high_ebn0_solves_every_point(self, capsys, d):
+        # at Eb/N0 = 60 dB the overloaded sparse-optimum fixed points sit near
+        # snr 1e7; the 1e-10 residual check needs the closed form that accurate
+        code, out, err = run(capsys, "sweep", "--d", d, "--ebn0-db", "60",
+                             "--beta-min", "0.1", "--beta-max", "3")
+        assert code == 0, err
+        assert "sparse_opt" in out
+
 
 class TestMonteCarlo:
     ARGS = ("montecarlo", "--d", "2", "--beta-d", "2", "--snr-db", "10",
