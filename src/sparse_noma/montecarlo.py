@@ -11,12 +11,12 @@ the empirical spectrum is an eigensolve (LAPACK's two-stage ?heevd_2stage
 through ctypes, else numpy.linalg.eigvalsh): both capacity estimates factor
 I + snr R (Cholesky log-determinant, triangular-inverse MMSE diagonal).
 
-A Gram with at most two neighbours per row, which among the regular pairs is
-exactly d = beta_d = 2, is a disjoint union of cycles.  Its cycles are walked
-and laid out zig-zag into a band of half-width 2, and banded LAPACK replaces
-the dense routines: ?hbevd/?sbevd for the spectrum (O(m^2)), pbtrf for the
-log-determinant (O(m)) and pbtrf plus tbtrs on blocks of 512 identity
-columns for the MMSE diagonal (O(m^2)); no m x m array is formed.
+At d = beta_d = 2 the graph is a disjoint union of cycles, and on a cycle of
+L users with flux phi the Gram's eigenvalues are 2 + 2 cos((phi + 2 pi k)/L)
+(Davis, Circulant Matrices, 1979).  One walk over the edges finds every
+cycle, and the spectrum, the log-determinant and the MMSE diagonal are O(m)
+sums over these eigenvalues; no LAPACK routine runs and no m x m array is
+formed.
 
 Trials are mutually independent: trial t of master seed s uses the RNG
 substream seeded by (s, t), so results are reproducible and the loop could
@@ -235,90 +235,52 @@ def _smaller_gram(sig: SignatureMatrix) -> tuple[sp.csr_matrix, sp.csr_matrix, b
     return a, gram, user_side
 
 
-def _narrow_band(gram: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray] | None:
-    """Lower band storage of a Gram with at most two neighbours per row, and its ordering.
-
-    Such a Gram is a disjoint union of paths and cycles.  Each is walked once
-    over the CSR neighbour lists (a path from one end) and laid out zig-zag,
-    v0, v1, v_{L-1}, v2, v_{L-2}, ..., so neighbours sit at most two places
-    apart.  Returns (ab, order) with ab[i - j, j] = gram[order[i], order[j]]
-    for 0 <= i - j <= b, the half-bandwidth b measured on the permuted matrix;
-    None when a row holds more than the diagonal and two neighbours.
-    """
-    m = gram.shape[0]
-    counts = np.diff(gram.indptr)
-    if counts.max(initial=0) > 3:  # the degree diagonal is always stored
-        return None
-    rows = np.repeat(np.arange(m), counts)
-    off = gram.indices != rows
-    r, c = rows[off], gram.indices[off]
-    # two neighbour slots per vertex (CSR rows are in order); vertex m is a sentinel that counts as seen
-    slot = np.zeros(len(r), dtype=np.intp)
-    slot[1:] = r[1:] == r[:-1]
-    nbr = np.full((m, 2), m)
-    nbr[r, slot] = c
-    ends = np.flatnonzero(nbr[:, 1] == m).tolist()
-    nbr = nbr.tolist()
-    seen = [False] * m + [True]
-    order = []
-    for start in ends + list(range(m)):  # path ends first, so a path is walked from one end
-        walk, v = [], start
-        while not seen[v]:
-            seen[v] = True
-            walk.append(v)
-            a, b = nbr[v]
-            v = b if seen[a] else a
-        # v0, then v1, v_{L-1}, v2, v_{L-2}, ... cut to L - 1 entries
-        order += walk[:1] + [x for pair in zip(walk[1:], walk[:0:-1]) for x in pair][: len(walk) - 1]
-    order = np.array(order, dtype=np.intp)
-    pos = np.empty(m, dtype=np.intp)
-    pos[order] = np.arange(m)
-    i, j = pos[rows], pos[gram.indices]
-    lower = i >= j
-    ab = np.zeros((int((i - j).max(initial=0)) + 1, m), dtype=gram.dtype, order="F")
-    ab[(i - j)[lower], j[lower]] = gram.data[lower]
-    return ab, order
-
-
-def _potrf(gram: sp.csr_matrix, scale: float) -> np.ndarray:
-    """Dense lower Cholesky factor of I + scale * gram."""
+def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, sp.csr_matrix, bool]:
+    """Dense lower Cholesky factor of I + (snr/d) G on the smaller Gram side, with A and the side."""
+    a, gram, user_side = _smaller_gram(sig)
     # Fortran order lets potrf factor the one dense copy in place
-    m = (sp.identity(gram.shape[0]) + scale * gram).toarray(order="F")
+    m = (sp.identity(gram.shape[0]) + (snr / sig.d) * gram).toarray(order="F")
     potrf = sla.get_lapack_funcs("potrf", (m,))
     low, info = potrf(m, lower=True, clean=True, overwrite_a=True)
     if info != 0:
         raise NumericalError(f"Cholesky factorization of I + snr R failed (potrf info {info})")
-    return low
+    return low, a, user_side
 
 
-def _pbtrf(ab: np.ndarray, scale: float) -> np.ndarray:
-    """Lower band Cholesky factor of I + scale * G from the lower band storage ab of G."""
-    m = ab * scale
-    m[0] += 1.0
-    pbtrf = sla.get_lapack_funcs("pbtrf", (m,))
-    low, info = pbtrf(m, lower=1, overwrite_ab=1)
-    if info != 0:
-        raise NumericalError(f"Cholesky factorization of I + snr R failed (pbtrf info {info})")
-    return low
+def _cycles(sig: SignatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Users in walk order, cycle starts in that order, and the Gram eigenvalues of a (2,2) signature.
 
-
-def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, sp.csr_matrix, bool]:
-    """Dense lower Cholesky factor of I + (snr/d) G on the smaller Gram side, with A and the side."""
-    a, gram, user_side = _smaller_gram(sig)
-    return _potrf(gram, snr / sig.d), a, user_side
-
-
-def _factor(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, np.ndarray | None, sp.csr_matrix, bool]:
-    """Cholesky factor of I + (snr/d) G on the smaller Gram side: (L, order, A, user side).
-
-    order is None for the dense lower factor.  When G has at most two
-    neighbours per row, L is the lower band factor of G permuted by order.
+    The graph is a disjoint union of cycles u_0 r_0 u_1 r_1 ... u_{L-1} r_{L-1}.
+    A diagonal unitary gauge turns each cycle's user-side Gram into 2I plus a
+    phi-twisted circulant, phi the argument of the product of
+    w(u_i, r_i) conj(w(u_{i+1}, r_i)) around it, so its eigenvalues are
+    2 + 2 cos((phi + 2 pi k)/L), k = 0..L-1, laid out like the users.  Both
+    incidences come from sorting the edges, so any edge order works.
     """
-    a, gram, user_side = _smaller_gram(sig)
-    band = _narrow_band(gram)
-    if band is None:
-        return _potrf(gram, snr / sig.d), None, a, user_side
-    return _pbtrf(band[0], snr / sig.d), band[1], a, user_side
+    by_user = np.argsort(sig.cols, kind="stable").reshape(-1, 2)
+    by_res = np.argsort(sig.rows, kind="stable").reshape(-1, 2)
+    other_user = np.empty(len(sig.cols), dtype=np.intp)  # the other edge at the same user
+    other_user[by_user] = by_user[:, ::-1]
+    other_res = np.empty_like(other_user)  # the other edge at the same resource
+    other_res[by_res] = by_res[:, ::-1]
+    # edge (u_i, r_i) steps to (u_{i+1}, r_{i+1}); the edges (u_i, r_{i-1}) walk the cycle backwards
+    step, back = other_user[other_res].tolist(), other_user.tolist()
+    seen = [False] * len(step)
+    order, starts = [], []
+    for e in range(len(step)):
+        if not seen[e]:
+            starts.append(len(order))
+        while not seen[e]:
+            seen[e] = seen[back[e]] = True
+            order.append(e)
+            e = step[e]
+    starts = np.array(starts, dtype=np.intp)
+    lengths = np.diff(starts, append=len(order))
+    twist = sig.weights[order] * np.conj(sig.weights[other_res[order]])
+    phi = np.repeat(np.angle(np.multiply.reduceat(twist, starts)), lengths)
+    k = np.arange(len(order)) - np.repeat(starts, lengths)
+    theta = (phi + 2.0 * math.pi * k) / np.repeat(lengths, lengths)
+    return sig.cols[order], starts, 2.0 + 2.0 * np.cos(theta)
 
 
 @functools.cache
@@ -350,31 +312,23 @@ def _eigvalsh(gram: sp.spmatrix, scale: float) -> tuple[np.ndarray, str]:
     return w, name
 
 
-def _band_eigvalsh(ab: np.ndarray, scale: float) -> tuple[np.ndarray, str]:
-    """Ascending eigenvalues of the Hermitian band matrix with lower storage ab, over scale."""
-    name = "zhbevd" if np.iscomplexobj(ab) else "dsbevd"  # the drivers of scipy's eigvals_banded
-    bevd = sla.get_lapack_funcs(name[1:], (ab,))
-    w, _, info = bevd(ab / scale, compute_v=0, lower=1, overwrite_ab=1)
-    if info != 0:
-        raise NumericalError(f"eigensolve failed ({name} info {info})")
-    return w, name
-
-
 def empirical_spectrum(sig: SignatureMatrix) -> EmpiricalSpectrum:
     """Eigenvalues of the resource-side scaled Gram matrix.
 
     The two Gram sides share nonzero eigenvalues, so the decomposition runs
     on the smaller side and zeros are padded back when users are fewer.
-    `driver` names the eigensolver: LAPACK's banded divide and conquer
-    (?hbevd/?sbevd) when the Gram has at most two neighbours per row, as at
-    d = beta_d = 2; otherwise LAPACK's two-stage driver in place on the one
-    dense copy, else numpy.linalg.eigvalsh.  All are backward stable (errors
-    about N ulp of the largest eigenvalue).  Mean and sum of squares are checked.
+    `driver` names the route: "cycles" at d = beta_d = 2, where every
+    eigenvalue is 1 + cos((phi + 2 pi k)/L) of its cycle (exactly 2 and 0 at
+    phi = 0); otherwise LAPACK's two-stage driver in place on the one dense
+    copy, else numpy.linalg.eigvalsh, both backward stable (errors about N ulp
+    of the largest eigenvalue).  Mean and sum of squares are checked.
     """
     n, k = sig.n_resources, sig.n_users
     _, gram, _ = _smaller_gram(sig)
-    band = _narrow_band(gram)
-    eigs, driver = _eigvalsh(gram, sig.d) if band is None else _band_eigvalsh(band[0], sig.d)
+    if sig.d == sig.beta_d == 2:
+        eigs, driver = _cycles(sig)[2] / sig.d, "cycles"
+    else:
+        eigs, driver = _eigvalsh(gram, sig.d)
     if k < n:
         eigs = np.concatenate([np.zeros(n - k), eigs])
     # the Gram matrix is PSD; negatives are eigensolver noise
@@ -417,38 +371,47 @@ def empirical_capacity_opt(
 ) -> McEstimate:
     """Per-resource log-determinant estimate of the optimum spectral efficiency.
 
-    Each trial is log2 det(I + snr G) / N = 2 sum log2 L_ii over the Cholesky
-    factor L on the smaller Gram side (banded when the Gram is narrow); no
-    eigenvalues are computed.
+    Each trial is log2 det(I + snr G/d) / N: at d = beta_d = 2 the sum of
+    log1p(snr mu / d) over the cycle eigenvalues mu of G, otherwise
+    2 sum log2 L_ii over the Cholesky factor L on the smaller Gram side; no
+    eigensolve runs.
     """
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    c = config.snr / config.d
     values = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         sig = generate_signature(n_resources, config.d, config.beta_d, phase_scheme, rng)
-        low, order, _, _ = _factor(sig, config.snr)
-        diag = low.diagonal() if order is None else low[0]
-        values.append(float(2.0 * np.log(diag.real).sum() / (n_resources * LN2)))
+        if config.d == config.beta_d == 2:
+            logdet = float(np.log1p(c * _cycles(sig)[2]).sum())
+        else:
+            logdet = float(2.0 * np.log(_cholesky(sig, config.snr)[0].diagonal().real).sum())
+        values.append(logdet / (n_resources * LN2))
     return _mc_reduce(values, seed)
 
 
 def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     """Per-user MMSE values diag((I + snr R)^{-1}), R = (1/d) A^H A.
 
-    From the Cholesky factor L of I + (snr/d) G on the smaller Gram side, user
-    k's MMSE is |column k of L^{-1}|^2 when K <= N, else 1 - (snr/d) |L^{-1} a_k|^2.
-    A dense L is inverted in place (LAPACK trtri); a band L (narrow Gram) is
-    solved against blocks of 512 right-hand sides (LAPACK tbtrs), and no
-    m x m array is formed.
+    At d = beta_d = 2 the gauge that makes each cycle's Gram circulant leaves
+    the diagonal of the inverse constant on the cycle: every user on it gets
+    (1/L) sum_k 1/(1 + (snr/d) mu_k) over the cycle's Gram eigenvalues mu_k.
+    Otherwise, from the Cholesky factor L of I + (snr/d) G on the smaller
+    Gram side, inverted in place (LAPACK trtri), user k's MMSE is
+    |column k of L^{-1}|^2 when K <= N, else 1 - (snr/d) |L^{-1} a_k|^2.
     """
     if not snr > 0.0:
         raise DomainError(f"snr must be positive, got {snr!r}")
-    low, order, a, user_side = _factor(sig, snr)
     c = snr / sig.d
     k, block = sig.n_users, 512
     diag = np.empty(k)
-    if order is None:
+    if sig.d == sig.beta_d == 2:
+        users, starts, mu = _cycles(sig)
+        lengths = np.diff(starts, append=k)
+        diag[users] = np.repeat(np.add.reduceat(1.0 / (1.0 + c * mu), starts) / lengths, lengths)
+    else:
+        low, a, user_side = _cholesky(sig, snr)
         trtri = sla.get_lapack_funcs("trtri", (low,))
         inv, info = trtri(low, lower=True, overwrite_c=True)
         if info != 0:
@@ -460,24 +423,6 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
             for start in range(0, k, block):
                 y = at[start : start + block] @ inv.T
                 diag[start : start + len(y)] = 1.0 - c * (np.abs(y) ** 2).sum(axis=1)
-    else:
-        tbtrs = sla.get_lapack_funcs("tbtrs", (low,))
-        m = low.shape[1]
-        permuted = None if user_side else a[order]  # resources in the factor's order
-        for start in range(0, k, block):
-            stop = min(start + block, k)
-            if user_side:  # L^{-1} e_j vanishes above row j, so the block needs only L[start:, start:]
-                first, rhs = start, np.eye(m - start, stop - start, dtype=low.dtype, order="F")
-            else:
-                first, rhs = 0, permuted[:, start:stop].toarray(order="F")
-            x, info = tbtrs(low[:, first:], rhs, uplo="L", overwrite_b=1)
-            if info != 0:
-                raise NumericalError(f"banded triangular solve failed (tbtrs info {info})")
-            norms = (np.abs(x) ** 2).sum(axis=0)
-            if user_side:
-                diag[order[start:stop]] = norms
-            else:
-                diag[start:stop] = 1.0 - c * norms
     if not (np.min(diag) > 0.0 and np.max(diag) <= 1.0 + 1e-10):
         raise NumericalError("per-user MMSE left (0, 1]")
     return np.minimum(diag, 1.0)

@@ -640,9 +640,13 @@ def hand_built(edges, n, k, d, bd, weights):
 # users 0 and 1 share resources 0 and 1 (a 2-cycle: one Gram neighbour each),
 # users 2, 3, 4 close a cycle through resources 2, 3, 4
 TWO_CYCLE_EDGES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (2, 4)]
+TWO_CYCLE_WEIGHTS = np.exp(2j * np.pi * np.random.default_rng(29).random(10))
+# the same edges and weights in a shuffled edge order, which no longer keeps a user's edges together
+SHUFFLE = np.random.default_rng(32).permutation(10)
 HAND_BUILT = {
-    "uniform": lambda: hand_built(
-        TWO_CYCLE_EDGES, 5, 5, 2, 2, np.exp(2j * np.pi * np.random.default_rng(29).random(10))),
+    "uniform": lambda: hand_built(TWO_CYCLE_EDGES, 5, 5, 2, 2, TWO_CYCLE_WEIGHTS),
+    "permuted": lambda: hand_built(
+        [TWO_CYCLE_EDGES[i] for i in SHUFFLE], 5, 5, 2, 2, TWO_CYCLE_WEIGHTS[SHUFFLE]),
     # 1*1 + 1*(-1): the 2-cycle's off-diagonal entry cancels, leaving two isolated vertices
     "binary": lambda: hand_built(TWO_CYCLE_EDGES, 5, 5, 2, 2, [1, 1, 1, -1, 1, -1, 1, 1, -1, 1]),
     # K > N: on the resource side each resource's three users all lead to one other resource
@@ -661,14 +665,26 @@ def dense_logdet(sig, snr):
     return 2.0 * np.log(montecarlo._cholesky(sig, snr)[0].diagonal().real).sum()
 
 
-def band_logdet(sig, snr):
-    low, order, _, _ = montecarlo._factor(sig, snr)
-    assert order is not None  # the banded route ran
-    return 2.0 * np.log(low[0].real).sum()
+def cycle_logdet(sig, snr):
+    return np.log1p(snr / sig.d * montecarlo._cycles(sig)[2]).sum()
+
+
+def assert_cycle_route_matches_dense(sig, snr):
+    """Spectrum, log-det and MMSE diagonal of a (2,2) signature against the dense references."""
+    spec = empirical_spectrum(sig)
+    assert spec.driver == "cycles"
+    want = eigvalsh_spectrum(sig)
+    assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * max(1.0, want[-1])
+    assert cycle_logdet(sig, snr) == pytest.approx(dense_logdet(sig, snr), rel=1e-12, abs=0.0)
+    assert np.allclose(lmmse_diagonal(sig, snr), dense_mmse(sig, snr), rtol=1e-12, atol=0.0)
 
 
 class TestBandRoute:
-    """(2,2) Grams are paths and cycles: banded LAPACK against the dense routes."""
+    """(2,2) Grams are unions of cycles: the cycle route against the dense routes.
+
+    The class keeps the name of the banded route it replaced, so its test ids
+    stay comparable with earlier runs.
+    """
 
     SNR, SEED = 10.0, 40_202  # trial 0 of SEED is criterion 4's first (2,2) draw
 
@@ -681,11 +697,8 @@ class TestBandRoute:
     @pytest.mark.parametrize("scheme", ["uniform", "binary", "repetition"])
     def test_spectrum_matches_eigvalsh(self, scheme, n):
         sig = self.signature(n, scheme)
-        _, gram, _ = montecarlo._smaller_gram(sig)
-        ab, order = montecarlo._narrow_band(gram)
-        assert ab.shape == (3, sig.n_users) and sorted(order) == list(range(sig.n_users))
         spec = empirical_spectrum(sig)
-        assert spec.driver == ("zhbevd" if scheme == "uniform" else "dsbevd")
+        assert spec.driver == "cycles"
         want = eigvalsh_spectrum(sig)
         assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * max(1.0, want[-1])
 
@@ -694,7 +707,7 @@ class TestBandRoute:
     def test_logdet_matches_dense_cholesky(self, scheme, n):
         sig = self.signature(n, scheme)
         want = dense_logdet(sig, self.SNR)
-        assert band_logdet(sig, self.SNR) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert cycle_logdet(sig, self.SNR) == pytest.approx(want, rel=1e-12, abs=0.0)
         cfg = SystemConfig(2, 2, self.SNR)
         est = empirical_capacity_opt(n, cfg, trials=1, seed=self.SEED, phase_scheme=scheme)
         assert est.estimate == pytest.approx(want / (n * math.log(2.0)), rel=1e-12, abs=0.0)
@@ -711,18 +724,60 @@ class TestBandRoute:
         sig = HAND_BUILT[case]()
         _, gram, user_side = montecarlo._smaller_gram(sig)
         assert user_side == (case != "resource side")
-        assert min(np.diff(gram.indptr)) < 3  # a component is a path, not a cycle
-        spec = empirical_spectrum(sig)
-        assert spec.driver in ("zhbevd", "dsbevd")
-        want = eigvalsh_spectrum(sig)
-        assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * max(1.0, want[-1])
-        assert band_logdet(sig, self.SNR) == pytest.approx(dense_logdet(sig, self.SNR), rel=1e-12)
-        assert np.allclose(lmmse_diagonal(sig, self.SNR), dense_mmse(sig, self.SNR), rtol=1e-12, atol=0.0)
+        assert min(np.diff(gram.indptr)) < 3  # the 2-cycle leaves a Gram row with one neighbour or none
+        if case == "resource side":  # d = 2, beta_d = 3 takes the dense routes
+            spec, want = empirical_spectrum(sig), eigvalsh_spectrum(sig)
+            assert spec.driver == "zheevd_2stage"
+            assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * max(1.0, want[-1])
+            assert np.allclose(lmmse_diagonal(sig, self.SNR), dense_mmse(sig, self.SNR), rtol=1e-12, atol=0.0)
+        else:
+            assert_cycle_route_matches_dense(sig, self.SNR)
 
-    def test_failed_band_cholesky_is_numerical_error(self):
-        # I - G/d has eigenvalues -cos(...), so pbtrf meets a nonpositive pivot
-        with pytest.raises(NumericalError, match="pbtrf"):
-            montecarlo._factor(self.signature(60, "uniform"), -1.0)
+    def test_walk_does_not_depend_on_edge_order(self):
+        # a shuffled criterion-4 draw: thousands of edges, no user's edges kept together
+        sig = self.signature(2000, "uniform")
+        order = np.random.default_rng(33).permutation(len(sig.rows))
+        shuffled = dataclasses.replace(
+            sig, rows=sig.rows[order], cols=sig.cols[order], weights=sig.weights[order])
+        shuffled.validate()
+        want = empirical_spectrum(sig).eigenvalues
+        assert np.max(np.abs(empirical_spectrum(shuffled).eigenvalues - want)) <= 1e-12 * want[-1]
+        assert np.allclose(lmmse_diagonal(shuffled, self.SNR), lmmse_diagonal(sig, self.SNR),
+                           rtol=1e-12, atol=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(3, 300),
+        scheme=st.sampled_from(["uniform", "binary", "repetition"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_draws_match_dense(self, n, scheme, seed):
+        assert_cycle_route_matches_dense(generate_signature(n, 2, 2, scheme, seed), self.SNR)
+
+    def test_degenerate_edges_are_exact(self):
+        # the draw whose KS distance moved by 1.3e-8 between eigensolvers: with
+        # zero flux every cycle puts exactly 2 at lambda_plus and, if even, exactly 0
+        sig = generate_signature(2000, 2, 2, "repetition", np.random.default_rng([40_202, 3]))
+        got, want = empirical_spectrum(sig).eigenvalues, eigvalsh_spectrum(sig)
+        top, zero = want > 2.0 - 1e-9, want < 1e-9
+        assert top.sum() > 0 and zero.sum() > 0
+        assert np.all(got[top] == 2.0) and np.all(got[zero] == 0.0)
+        assert np.all(got[~top] < 2.0) and np.all(got[~zero] > 0.0)
+
+    def test_moved_cycle_eigenvalues_fail_the_second_moment_identity(self, monkeypatch):
+        # the same move as the dense driver test: the trace holds, only sum lambda^2 changes
+        sig, walk = self.signature(60, "uniform"), montecarlo._cycles
+
+        def moved(sig):
+            users, starts, mu = walk(sig)
+            order = np.argsort(mu)
+            mu[order[0]] += 2e-6
+            mu[order[-1]] -= 2e-6
+            return users, starts, mu
+
+        monkeypatch.setattr(montecarlo, "_cycles", moved)
+        with pytest.raises(NumericalError, match="squared eigenvalues"):
+            empirical_spectrum(sig)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infinite_snr_is_numerical_error(self):
@@ -730,11 +785,16 @@ class TestBandRoute:
             lmmse_diagonal(self.signature(60, "uniform"), math.inf)
 
     @pytest.mark.parametrize("d, bd", [(3, 2), (3, 6), (10, 10)])
-    def test_other_pairs_stay_dense(self, d, bd):
+    def test_other_pairs_stay_dense(self, monkeypatch, d, bd):
+        def no_walk(sig):
+            raise AssertionError("the cycle walk ran outside d = beta_d = 2")
+
+        monkeypatch.setattr(montecarlo, "_cycles", no_walk)
         for scheme, driver in (("uniform", "zheevd_2stage"), ("binary", "dsyevd_2stage")):
             sig = generate_signature(feasible_resources(300, d, bd), d, bd, scheme, seed=31)
             assert empirical_spectrum(sig).driver == driver
-            assert montecarlo._factor(sig, self.SNR)[1] is None
+            lmmse_diagonal(sig, self.SNR)
+        empirical_capacity_opt(feasible_resources(60, d, bd), SystemConfig(d, bd, self.SNR), trials=1)
 
     def test_csgraph_is_not_imported(self):
         probe = (
@@ -746,7 +806,7 @@ class TestBandRoute:
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(montecarlo.__file__))},
         )
-        assert out.stdout.split() == ["zhbevd", "False"]
+        assert out.stdout.split() == ["cycles", "False"]
 
 
 class TestKsDistance:
