@@ -5,7 +5,10 @@ degrees by construction) followed by random two-edge swaps until the
 bipartite graph is simple; nonzeros sit on the complex unit circle.  Edges
 are stored user by user (user c owns edges c*d .. c*d + d - 1) and swaps
 only exchange resources, so the repair finds and tests duplicates per user
-block without a pass over all edges.  Dense
+block without a pass over all edges.  That layout is already the column
+structure of a CSC matrix: a signature holds 24 bytes per edge (int32
+resource and user indices, complex128 weights), and its sparse operator is a
+read-only CSC view of those arrays plus a K + 1 column pointer.  Dense
 algebra runs on the smaller Gram side, real when every weight is real.  Only
 the empirical spectrum is an eigensolve (LAPACK's two-stage ?heevd_2stage
 through ctypes, else numpy.linalg.eigvalsh): both capacity estimates factor
@@ -69,7 +72,13 @@ KS_MIN_RESOURCES = 2000  # the threshold is only meaningful near this acceptance
 
 @dataclass(eq=False)
 class SignatureMatrix:
-    """Sparse N x K signature matrix in edge-list form."""
+    """Sparse N x K signature matrix in edge-list form.
+
+    Edge e joins resource rows[e] to user cols[e] with weight weights[e].
+    generate_signature lays the edges out in user blocks with int32 indices
+    (int64 from 2**31 edges on); validate accepts any order and any integer
+    index type.
+    """
 
     n_resources: int
     n_users: int
@@ -82,11 +91,27 @@ class SignatureMatrix:
     swap_iterations: int = 0  # swap attempts on the accepted stub matching
     matchings: int = 1  # stub matchings drawn, including the accepted one
 
-    def to_sparse(self) -> sp.csr_matrix:
-        return sp.csr_matrix(
-            (self.weights, (self.rows, self.cols)),
-            shape=(self.n_resources, self.n_users),
-        )
+    def to_sparse(self) -> sp.csc_matrix:
+        """A as an N x K CSC matrix whose data and row indices cannot be written through.
+
+        In user-block order (user c owns edges c*d .. c*d + d - 1, as
+        generate_signature lays them out) ``data`` and ``indices`` are
+        read-only views of ``weights`` and ``rows`` and only the column
+        pointer arange(0, K*d + 1, d) is allocated, so the operator adds
+        4 (K + 1) bytes to the signature's 24 per edge.  Any other edge order
+        is sorted into user order once, into copies.  Within a column the row
+        indices keep the edge order and need not be sorted.
+        """
+        k, d, rows, cols, weights = self.n_users, self.d, self.rows, self.cols, self.weights
+        if len(cols) == k * d and (cols.reshape(k, d) == np.arange(k)[:, None]).all():
+            indptr = np.arange(0, k * d + 1, d, dtype=rows.dtype)
+        else:
+            order = np.argsort(cols, kind="stable")
+            rows, weights = rows[order], weights[order]
+            indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=k))))
+        data, indices = weights.view(), rows.view()
+        data.flags.writeable = indices.flags.writeable = False
+        return sp.csc_matrix((data, indices, indptr), shape=(self.n_resources, k), copy=False)
 
     def validate(self) -> None:
         """Raise GenerationError unless a simple regular unit-modulus graph (any edge order)."""
@@ -155,7 +180,10 @@ def generate_signature(
     duplicate edges a random matching produces.  If 100 * E swaps do not
     reach a simple graph the matching is redrawn from scratch.  Edges are
     laid out per user: ``cols`` is 0..K-1 each repeated d times, so user c's
-    resources are ``rows[c*d:(c+1)*d]``, which the repair relies on.
+    resources are ``rows[c*d:(c+1)*d]``, which the repair and to_sparse
+    rely on.  Indices are int32 below 2**31 edges; the shuffle and the
+    repair draw the same numbers at either width, so a seed gives the same
+    signature.
     """
     cfg = SystemConfig(d, beta_d)  # validates the degree pair
     if phase_scheme not in PHASE_SCHEMES:
@@ -173,9 +201,10 @@ def generate_signature(
 
     rng = _as_rng(seed)
     n_edges = k * d
-    cols = np.repeat(np.arange(k), d)
+    index = np.int32 if n_edges < 2**31 else np.int64
+    cols = np.repeat(np.arange(k, dtype=index), d)
     for matchings in range(1, 26):
-        rows = np.repeat(np.arange(n), beta_d)
+        rows = np.repeat(np.arange(n, dtype=index), beta_d)
         rng.shuffle(rows)
         swaps = _repair_to_simple(rng, rows, d, cap=100 * n_edges)
         if swaps is not None:
@@ -220,7 +249,7 @@ class EmpiricalSpectrum:
         return float(np.mean(self.eigenvalues**2))
 
 
-def _smaller_gram(sig: SignatureMatrix) -> tuple[sp.csr_matrix, sp.csr_matrix, bool]:
+def _smaller_gram(sig: SignatureMatrix) -> tuple[sp.csc_matrix, sp.spmatrix, bool]:
     """A, its unscaled sparse Gram product on the smaller side, and whether that is the user side.
 
     A^H A (K x K) when K <= N, otherwise A A^H (N x N).  The two sides share
@@ -235,7 +264,7 @@ def _smaller_gram(sig: SignatureMatrix) -> tuple[sp.csr_matrix, sp.csr_matrix, b
     return a, gram, user_side
 
 
-def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, sp.csr_matrix, bool]:
+def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, sp.csc_matrix, bool]:
     """Dense lower Cholesky factor of I + (snr/d) G on the smaller Gram side, with A and the side."""
     a, gram, user_side = _smaller_gram(sig)
     # Fortran order lets potrf factor the one dense copy in place
@@ -400,11 +429,13 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     Otherwise, from the Cholesky factor L of I + (snr/d) G on the smaller
     Gram side, inverted in place (LAPACK trtri), user k's MMSE is
     |column k of L^{-1}|^2 when K <= N, else 1 - (snr/d) |L^{-1} a_k|^2.
+    Both reductions run in panels of at most 256 columns or 128 users, so
+    their temporaries stay a few MB beside the m x m factor.
     """
     if not snr > 0.0:
         raise DomainError(f"snr must be positive, got {snr!r}")
     c = snr / sig.d
-    k, block = sig.n_users, 512
+    k, panel, block = sig.n_users, 256, 128
     diag = np.empty(k)
     if sig.d == sig.beta_d == 2:
         users, starts, mu = _cycles(sig)
@@ -417,9 +448,10 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
         if info != 0:
             raise NumericalError(f"inverting the Cholesky factor failed (trtri info {info})")
         if user_side:
-            diag = (np.abs(inv) ** 2).sum(axis=0)
+            for start in range(0, k, panel):
+                diag[start : start + panel] = (np.abs(inv[:, start : start + panel]) ** 2).sum(axis=0)
         else:
-            at = a.T.tocsr()  # row k is a_k, so at @ inv.T has rows (L^{-1} a_k)^T
+            at = a.T  # CSR; row k is a_k, so at @ inv.T has rows (L^{-1} a_k)^T
             for start in range(0, k, block):
                 y = at[start : start + block] @ inv.T
                 diag[start : start + len(y)] = 1.0 - c * (np.abs(y) ** 2).sum(axis=1)

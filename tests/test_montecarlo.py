@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import types
 from collections import Counter, defaultdict
 
@@ -475,7 +476,9 @@ class TestFactorRoutes:
         sig = self._signature(shape, scheme)
         cfg = SystemConfig(sig.d, sig.beta_d, self.SNR)
         est = empirical_capacity_opt(self.N, cfg, trials=1, seed=self.SEED, phase_scheme=scheme)
-        eigs = empirical_spectrum(sig).eigenvalues
+        # the user-side Gram shares its nonzero eigenvalues with the resource side
+        a = sig.to_sparse().toarray()
+        eigs = np.linalg.eigvalsh(a.conj().T @ a / sig.d)
         exact = np.log1p(self.SNR * eigs).sum() / (self.N * math.log(2.0))
         assert est.estimate == pytest.approx(exact, rel=1e-12, abs=0.0)
 
@@ -807,6 +810,70 @@ class TestBandRoute:
             env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(montecarlo.__file__))},
         )
         assert out.stdout.split() == ["cycles", "False"]
+
+
+def dense_from_edges(sig):
+    """The N x K signature matrix assembled entry by entry from the edge list."""
+    a = np.zeros((sig.n_resources, sig.n_users), dtype=complex)
+    np.add.at(a, (sig.rows, sig.cols), sig.weights)
+    return a
+
+
+class TestSparseLayout:
+    """int32 edge indices, and to_sparse as a read-only CSC view of them."""
+
+    def test_indices_are_int32(self):
+        sig = generate_signature(60, 3, 6, seed=3)
+        assert sig.rows.dtype == sig.cols.dtype == np.int32
+
+    def test_to_sparse_shares_memory(self):
+        sig = generate_signature(60, 3, 6, seed=3)
+        a = sig.to_sparse()
+        assert a.format == "csc"
+        assert np.shares_memory(a.data, sig.weights)
+        assert np.shares_memory(a.indices, sig.rows)
+        assert np.array_equal(a.indptr, np.arange(0, sig.n_users * sig.d + 1, sig.d))
+
+    def test_view_is_read_only(self):
+        sig = generate_signature(60, 3, 6, seed=3)
+        a = sig.to_sparse()
+        with pytest.raises(ValueError, match="read-only"):
+            a.data[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a.indices[0] = 0
+        sig.rows[0] = sig.rows[0]  # the signature's own arrays stay writable
+        sig.weights[0] = sig.weights[0]
+
+    @pytest.mark.parametrize("scheme", ["uniform", "binary", "repetition"])
+    @pytest.mark.parametrize("d, bd, n", [(2, 2, 40), (3, 2, 30), (3, 6, 30)])
+    def test_generated_matches_edge_list(self, d, bd, n, scheme):
+        sig = generate_signature(n, d, bd, scheme, seed=17)
+        assert np.array_equal(sig.to_sparse().toarray(), dense_from_edges(sig))
+
+    @pytest.mark.parametrize("case", ["uniform", "permuted"])
+    def test_hand_built_matches_edge_list(self, case):
+        # hand_built keeps int64 lists; "permuted" is not in user-block order
+        sig = HAND_BUILT[case]()
+        assert sig.rows.dtype == np.int64
+        a = sig.to_sparse()
+        assert np.array_equal(a.toarray(), dense_from_edges(sig))
+        assert np.array_equal(a.indptr, np.arange(0, 11, 2))
+        assert np.shares_memory(a.data, sig.weights) == (case == "uniform")
+
+    def test_retained_bytes_per_edge(self):
+        # 4 + 4 index bytes and 16 weight bytes per edge, plus the int32 column pointer
+        generate_signature(200, 10, 10, seed=0).to_sparse()  # first-call allocations happen outside
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sig = generate_signature(20_000, 10, 10, seed=1)
+            a = sig.to_sparse()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        n_edges, k = a.nnz, sig.n_users
+        assert n_edges == 200_000
+        assert retained <= 25 * n_edges + 4 * (k + 1)
 
 
 class TestKsDistance:
