@@ -343,11 +343,14 @@ def integrate_against_density(density: SpectralDensity, f: Callable[[np.ndarray]
     """Integral of f against the limiting law, point mass included.
 
     f is vectorized: it maps a 1-D array of lam to an array of that shape (or
-    to anything that broadcasts to it, such as a constant).  It must be
-    finite on the support, and at 0 when the law has an atom there.  For f
-    continuous on the support, kinks included, the error of the continuous
-    part is about 1e-12 absolute with a 1e-14 relative floor; an f that needs
-    more than _PANEL_CAP (4096) panels raises NumericalError.
+    to anything that broadcasts to it, such as a constant).  Its domain is
+    continuous integrands: f continuous and finite on the support (kinks
+    included), and finite at 0 when the law has an atom there.  There the
+    error of the continuous part is about 1e-12 absolute with a 1e-14
+    relative floor; an f that needs more than _PANEL_CAP (4096) panels raises
+    NumericalError.  A jump is outside the domain and may go unseen: inside
+    the gap around a panel's centre that the 32- and 64-node rules share,
+    both sums can agree and the panel is accepted with a wrong value.
     """
     p = density.params
     total_atom = 0.0

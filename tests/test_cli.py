@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import types
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -287,19 +284,16 @@ class TestParserReuse:
             assert other not in out
             assert "1 passed, 0 failed, 0 skipped" in out
 
-    def test_usage_error_then_valid_call(self, capsys):
+    def test_usage_error_then_valid_call(self, capsys, run_probe):
         with pytest.raises(SystemExit) as exc:
             main(["capacity", "--d", "3", "--snr-db", "ten"])
         assert exc.value.code == 2
         capsys.readouterr()
         code, out, _ = run(capsys, *self.CAPACITY)
-        alone = subprocess.run(
-            [sys.executable, "-m", "sparse_noma", *self.CAPACITY],
-            capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(resources.files("sparse_noma").parent)},
-        )
+        # runpy does what `python -m sparse_noma` does, with sys.argv[1:] = CAPACITY
+        alone = run_probe("import runpy; runpy.run_module('sparse_noma', run_name='__main__')", *self.CAPACITY)
         assert code == 0
-        assert out == alone.stdout
+        assert out == alone
 
     @pytest.mark.parametrize(
         "argv",
@@ -314,6 +308,30 @@ class TestParserReuse:
         first = run(capsys, *argv)
         assert first[0] == 0
         assert run(capsys, *argv) == first
+
+
+class TestImports:
+    SWEEP = ("sweep", "--d", "2", "--ebn0-db", "10", "--beta-min", "1", "--beta-max", "3",
+             "--beta-steps", "5")
+    CLOSED_FORM_CALLS = [
+        [*argv, "--format", fmt]
+        for argv, formats in (
+            (("params", "--d", "3", "--beta-d", "2"), ("json", "csv")),
+            (("density", "--d", "3", "--beta-d", "6", "--points", "20"), ("csv", "json")),
+            (TestParserReuse.CAPACITY, ("csv", "json")),
+            (SWEEP, ("csv", "json", "svg")),
+        )
+        for fmt in formats
+    ]
+
+    def test_closed_form_commands_load_no_scipy(self, run_probe):
+        probe = (
+            "import contextlib, io, sys; from sparse_noma.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    codes = [main(argv) for argv in {self.CLOSED_FORM_CALLS!r}]\n"
+            "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert run_probe(probe).strip() == f"{[0] * len(self.CLOSED_FORM_CALLS)} []"
 
 
 class TestUnits:

@@ -4,9 +4,6 @@ import ctypes
 import dataclasses
 import functools
 import math
-import os
-import subprocess
-import sys
 import tracemalloc
 import types
 from collections import Counter, defaultdict
@@ -623,13 +620,18 @@ class TestEigensolveDriver:
         with pytest.raises(NumericalError, match="squared eigenvalues"):
             empirical_spectrum(sig)
 
-    def test_import_does_not_bind(self):
+    def test_import_does_not_bind(self, run_probe):
         probe = "import sparse_noma.montecarlo as m; print(m._two_stage_driver.cache_info().currsize)"
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(montecarlo.__file__))},
+        assert run_probe(probe).strip() == "0"
+
+    def test_first_spectrum_binds_the_driver(self, run_probe):
+        # scipy.linalg loads on first use, and the driver is still found through it
+        probe = (
+            "import sys, sparse_noma.montecarlo as m; "
+            "sig = m.generate_signature(60, 3, 6, seed=26); "
+            "print('scipy.linalg' in sys.modules, m.empirical_spectrum(sig).driver)"
         )
-        assert out.stdout.strip() == "0"
+        assert run_probe(probe).split() == ["False", "zheevd_2stage"]
 
 
 def hand_built(edges, n, k, d, bd, weights):
@@ -799,17 +801,13 @@ class TestBandRoute:
             lmmse_diagonal(sig, self.SNR)
         empirical_capacity_opt(feasible_resources(60, d, bd), SystemConfig(d, bd, self.SNR), trials=1)
 
-    def test_csgraph_is_not_imported(self):
+    def test_csgraph_is_not_imported(self, run_probe):
         probe = (
             "import sys, sparse_noma.montecarlo as m; "
             "print(m.empirical_spectrum(m.generate_signature(200, 2, 2, seed=1)).driver, "
             "'scipy.sparse.csgraph' in sys.modules)"
         )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(montecarlo.__file__))},
-        )
-        assert out.stdout.split() == ["cycles", "False"]
+        assert run_probe(probe).split() == ["cycles", "False"]
 
 
 def dense_from_edges(sig):
@@ -874,6 +872,33 @@ class TestSparseLayout:
         n_edges, k = a.nnz, sig.n_users
         assert n_edges == 200_000
         assert retained <= 25 * n_edges + 4 * (k + 1)
+
+    @staticmethod
+    def peak_bytes_per_edge(call, n_edges):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1] / n_edges
+        finally:
+            tracemalloc.stop()
+
+    def test_generation_peak_bytes_per_edge(self):
+        # the 24 retained bytes plus one float per edge: the phases, then validate's modulus
+        generate_signature(200, 10, 10, seed=0)
+        assert self.peak_bytes_per_edge(lambda: generate_signature(20_000, 10, 10, seed=1), 200_000) <= 34
+
+    def test_validate_peak_bytes_per_edge(self):
+        # one float modulus per edge; the duplicate check sorts an int32 copy of rows
+        sig = generate_signature(20_000, 10, 10, seed=1)
+        assert self.peak_bytes_per_edge(sig.validate, len(sig.rows)) <= 10
+
+    def test_to_sparse_loads_no_dense_algebra(self, run_probe):
+        probe = (
+            "import sys, sparse_noma.montecarlo as m; "
+            "m.generate_signature(60, 3, 6, seed=3).to_sparse(); "
+            "print('scipy.sparse' in sys.modules, 'scipy.linalg' in sys.modules)"
+        )
+        assert run_probe(probe).split() == ["True", "False"]
 
 
 class TestKsDistance:
