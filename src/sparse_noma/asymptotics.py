@@ -25,7 +25,6 @@ __all__ = [
     "low_snr_lmmse",
     "high_snr_optimum",
     "high_snr_lmmse",
-    "approx_rate",
 ]
 
 
@@ -40,6 +39,10 @@ class LowSnrParams:
     def ebn0_min_db(self) -> float:
         return linear_to_db(self.ebn0_min)
 
+    def rate(self, ebn0_db: float) -> float:
+        """Affine low-SNR rate s0 (ebn0_db - ebn0_min_db) / 3 dB; zero at the threshold."""
+        return self.s0 * (ebn0_db - self.ebn0_min_db) / THREE_DB
+
 
 @dataclass(frozen=True)
 class HighSnrParams:
@@ -51,6 +54,16 @@ class HighSnrParams:
 
     s_inf: float
     l_inf: float | None
+
+    def rate(self, snr: float) -> float:
+        """Affine high-SNR rate s_inf (log2 snr - l_inf) at linear snr > 0."""
+        if self.l_inf is None:
+            raise DomainError(
+                "no high-SNR affine asymptote: slope is zero and the offset is undefined"
+            )
+        if snr <= 0.0:
+            raise DomainError(f"snr must be positive, got {snr!r}")
+        return self.s_inf * (math.log2(snr) - self.l_inf)
 
 
 def low_snr_optimum(d: int, beta_d: int) -> LowSnrParams:
@@ -93,28 +106,3 @@ def high_snr_lmmse(d: int, beta_d: int) -> HighSnrParams:
     if beta == 1:
         return HighSnrParams(s_inf=0.5, l_inf=math.log2((d - 1) / d))
     return HighSnrParams(s_inf=0.0, l_inf=None)
-
-
-def approx_rate(params, regime: str, value: float) -> float:
-    """Affine rate approximation at one operating point.
-
-    regime="low" expects LowSnrParams and value = Eb/N0 in dB; the
-    approximation is s0 * (value - ebn0_min_db) / 3dB and crosses zero at
-    the threshold.  regime="high" expects HighSnrParams and value = snr
-    (linear); the approximation is s_inf * (log2 snr - l_inf).
-    """
-    if regime == "low":
-        if not isinstance(params, LowSnrParams):
-            raise DomainError("regime='low' requires LowSnrParams")
-        return params.s0 * (value - params.ebn0_min_db) / THREE_DB
-    if regime == "high":
-        if not isinstance(params, HighSnrParams):
-            raise DomainError("regime='high' requires HighSnrParams")
-        if params.l_inf is None:
-            raise DomainError(
-                "no high-SNR affine asymptote: slope is zero and the offset is undefined"
-            )
-        if value <= 0.0:
-            raise DomainError(f"snr must be positive, got {value!r}")
-        return params.s_inf * (math.log2(value) - params.l_inf)
-    raise DomainError(f"unknown regime {regime!r}; expected 'low' or 'high'")

@@ -18,7 +18,6 @@ from typing import Callable
 import numpy as np
 
 from .asymptotics import (
-    approx_rate,
     high_snr_lmmse,
     high_snr_optimum,
     low_snr_lmmse,
@@ -195,7 +194,7 @@ def check_extreme_snr() -> tuple[bool, str]:
                 worst_resid,
                 abs(
                     capacity_optimum(SystemConfig(d, bd, snr)).spectral_efficiency
-                    - approx_rate(hi, "high", snr)
+                    - hi.rate(snr)
                 ),
             )
             hi = high_snr_lmmse(d, bd)
@@ -204,7 +203,7 @@ def check_extreme_snr() -> tuple[bool, str]:
                     worst_resid,
                     abs(
                         capacity_lmmse(SystemConfig(d, bd, snr)).spectral_efficiency
-                        - approx_rate(hi, "high", snr)
+                        - hi.rate(snr)
                     ),
                 )
     ok = worst_slope < 1e-3 and worst_resid < 1e-2

@@ -2,15 +2,16 @@
 
 Finite matrices are drawn by configuration-model stub matching (exact
 degrees by construction) followed by random two-edge swaps until the
-bipartite graph is simple; nonzeros sit on the complex unit circle.  Edges
-are stored user by user (user c owns edges c*d .. c*d + d - 1) and swaps
-only exchange resources, so the repair finds and tests duplicates per user
-block without a pass over all edges.  That layout is already the column
-structure of a CSC matrix: a signature holds 24 bytes per edge (int32
-resource and user indices, complex128 weights), and its sparse operator is a
-read-only CSC view of those arrays plus a K + 1 column pointer.  Dense
-algebra runs on the smaller Gram side, real when every weight is real.  Only
-the empirical spectrum is an eigensolve (LAPACK's two-stage ?heevd_2stage
+bipartite graph is simple; nonzeros sit on the complex unit circle.  A
+signature is its user blocks: user c owns edges c*d .. c*d + d - 1, so only
+the resource of each edge is stored and its user is implied.  Swaps only
+exchange resources, so the repair finds and tests duplicates per user block
+without a pass over all edges.  That layout is already the column structure
+of a CSC matrix: a signature holds 20 bytes per edge (int32 resource
+indices, complex128 weights), and its sparse operator is a read-only CSC
+view of those arrays plus a K + 1 column pointer.  Dense algebra runs on the
+smaller Gram side, real when every weight is real.  Only the empirical
+spectrum is an eigensolve (LAPACK's two-stage ?heevd_2stage
 through ctypes, else numpy.linalg.eigvalsh): both capacity estimates factor
 I + snr R (Cholesky log-determinant, triangular-inverse MMSE diagonal).
 scipy is imported inside the functions that run sparse or dense algebra, so
@@ -36,6 +37,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -77,12 +79,11 @@ KS_MIN_RESOURCES = 2000  # the threshold is only meaningful near this acceptance
 
 @dataclass(eq=False)
 class SignatureMatrix:
-    """Sparse N x K signature matrix in edge-list form.
+    """Sparse N x K signature matrix stored as its user blocks.
 
-    Edge e joins resource rows[e] to user cols[e] with weight weights[e].
-    generate_signature lays the edges out in user blocks with int32 indices
-    (int64 from 2**31 edges on); validate accepts any order and any integer
-    index type.
+    User c's edges are c*d .. c*d + d - 1: edge e joins resource rows[e] to
+    user e // d with weight weights[e].  generate_signature draws int32
+    indices (int64 from 2**31 edges on).
     """
 
     n_resources: int
@@ -90,64 +91,50 @@ class SignatureMatrix:
     d: int
     beta_d: int
     rows: np.ndarray
-    cols: np.ndarray
     weights: np.ndarray
     phase_scheme: str
     swap_iterations: int = 0  # swap attempts on the accepted stub matching
     matchings: int = 1  # stub matchings drawn, including the accepted one
 
-    def _user_order(self) -> np.ndarray | None:
-        """None when the edges sit in user blocks (generate_signature's layout), else the stable sort by user."""
-        k, d, cols = self.n_users, self.d, self.cols
-        if len(cols) == k * d and (cols.reshape(k, d) == np.arange(k)[:, None]).all():
-            return None
-        return np.argsort(cols, kind="stable")
+    @property
+    def cols(self) -> np.ndarray:
+        """The user of every edge, 0..K-1 each repeated d times, in the dtype of ``rows``."""
+        return np.repeat(np.arange(self.n_users, dtype=self.rows.dtype), self.d)
 
     def to_sparse(self) -> sp.csc_matrix:
         """A as an N x K CSC matrix whose data and row indices cannot be written through.
 
-        In user-block order (user c owns edges c*d .. c*d + d - 1, as
-        generate_signature lays them out) ``data`` and ``indices`` are
-        read-only views of ``weights`` and ``rows`` and only the column
-        pointer arange(0, K*d + 1, d) is allocated, so the operator adds
-        4 (K + 1) bytes to the signature's 24 per edge.  Any other edge order
-        is sorted into user order once, into copies.  Within a column the row
-        indices keep the edge order and need not be sorted.
+        ``data`` and ``indices`` are read-only views of ``weights`` and
+        ``rows`` and only the column pointer arange(0, K*d + 1, d) is
+        allocated, so the operator adds 4 (K + 1) bytes to the signature's
+        20 per edge.  Within a column the row indices keep the edge order and
+        need not be sorted.
         """
         import scipy.sparse as sp
 
-        k, d, rows, weights = self.n_users, self.d, self.rows, self.weights
-        order = self._user_order()
-        if order is None:
-            indptr = np.arange(0, k * d + 1, d, dtype=rows.dtype)
-        else:
-            rows, weights = rows[order], weights[order]
-            indptr = np.concatenate(([0], np.cumsum(np.bincount(self.cols, minlength=k))))
-        data, indices = weights.view(), rows.view()
+        k, d = self.n_users, self.d
+        indptr = np.arange(0, k * d + 1, d, dtype=self.rows.dtype)
+        data, indices = self.weights.view(), self.rows.view()
         data.flags.writeable = indices.flags.writeable = False
         return sp.csc_matrix((data, indices, indptr), shape=(self.n_resources, k), copy=False)
 
     def validate(self) -> None:
-        """Raise GenerationError unless a simple regular unit-modulus graph (any edge order).
+        """Raise GenerationError unless a simple regular unit-modulus graph.
 
-        Duplicates are found by sorting each user's d resources, on a view in
-        user-block order or on one sorted copy of ``rows`` otherwise, so the
+        Duplicates are found by sorting each user's d resources, so the
         check's transients stay at about the size of ``rows``.
         """
-        n, k, d, rows, cols = self.n_resources, self.n_users, self.d, self.rows, self.cols
-        if not len(rows) == len(cols) == len(self.weights):
-            raise GenerationError("rows, cols and weights differ in length")
-        if len(rows) and (rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= k):
+        n, k, d, rows = self.n_resources, self.n_users, self.d, self.rows
+        if not len(rows) == len(self.weights) == k * d:
+            raise GenerationError(f"rows and weights must both have length K*d = {k * d}")
+        if len(rows) and (rows.min() < 0 or rows.max() >= n):
             raise GenerationError("an edge index is out of range")
-        if not np.array_equal(np.bincount(cols, minlength=k), np.full(k, d)):
-            raise GenerationError("column degrees are not exactly d")
         if not np.array_equal(np.bincount(rows, minlength=n), np.full(n, self.beta_d)):
             raise GenerationError("row degrees are not exactly beta_d")
-        order = self._user_order()
-        blocks = np.sort((rows if order is None else rows[order]).reshape(k, d), axis=1)
+        blocks = np.sort(rows.reshape(k, d), axis=1)
         if (blocks[:, 1:] == blocks[:, :-1]).any():
             raise GenerationError("duplicate edges survive; the graph is not simple")
-        del order, blocks  # freed before the float modulus, so the check's peak is one array
+        del blocks  # freed before the float modulus, so the check's peak is one array
         modulus = np.abs(self.weights)
         if not max(np.max(modulus) - 1.0, 1.0 - np.min(modulus)) <= 1e-12:
             raise GenerationError("nonzeros are not unit modulus")
@@ -200,12 +187,10 @@ def generate_signature(
 
     Stub matching gives exact degrees; the swap repair removes the few
     duplicate edges a random matching produces.  If 100 * E swaps do not
-    reach a simple graph the matching is redrawn from scratch.  Edges are
-    laid out per user: ``cols`` is 0..K-1 each repeated d times, so user c's
-    resources are ``rows[c*d:(c+1)*d]``, which the repair and to_sparse
-    rely on.  Indices are int32 below 2**31 edges; the shuffle and the
-    repair draw the same numbers at either width, so a seed gives the same
-    signature.
+    reach a simple graph the matching is redrawn from scratch.  User c's
+    resources are ``rows[c*d:(c+1)*d]``.  Indices are int32 below 2**31
+    edges; the shuffle and the repair draw the same numbers at either width,
+    so a seed gives the same signature.
     """
     cfg = SystemConfig(d, beta_d)  # validates the degree pair
     if phase_scheme not in PHASE_SCHEMES:
@@ -224,7 +209,6 @@ def generate_signature(
     rng = _as_rng(seed)
     n_edges = k * d
     index = np.int32 if n_edges < 2**31 else np.int64
-    cols = np.repeat(np.arange(k, dtype=index), d)
     for matchings in range(1, 26):
         rows = np.repeat(np.arange(n, dtype=index), beta_d)
         rng.shuffle(rows)
@@ -252,7 +236,7 @@ def generate_signature(
 
     sig = SignatureMatrix(
         n_resources=n, n_users=k, d=cfg.d, beta_d=cfg.beta_d,
-        rows=rows, cols=cols, weights=weights, phase_scheme=phase_scheme,
+        rows=rows, weights=weights, phase_scheme=phase_scheme,
         swap_iterations=swaps, matchings=matchings,
     )
     sig.validate()
@@ -314,33 +298,31 @@ def _cycles(sig: SignatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     A diagonal unitary gauge turns each cycle's user-side Gram into 2I plus a
     phi-twisted circulant, phi the argument of the product of
     w(u_i, r_i) conj(w(u_{i+1}, r_i)) around it, so its eigenvalues are
-    2 + 2 cos((phi + 2 pi k)/L), k = 0..L-1, laid out like the users.  Both
-    incidences come from sorting the edges, so any edge order works.
+    2 + 2 cos((phi + 2 pi k)/L), k = 0..L-1, laid out like the users.  In
+    user blocks the other edge at edge e's user is e ^ 1 and that user is
+    e // 2; the other edge at its resource comes from sorting the rows.
     """
-    by_user = np.argsort(sig.cols, kind="stable").reshape(-1, 2)
     by_res = np.argsort(sig.rows, kind="stable").reshape(-1, 2)
-    other_user = np.empty(len(sig.cols), dtype=np.intp)  # the other edge at the same user
-    other_user[by_user] = by_user[:, ::-1]
-    other_res = np.empty_like(other_user)  # the other edge at the same resource
+    other_res = np.empty(len(sig.rows), dtype=np.intp)  # the other edge at the same resource
     other_res[by_res] = by_res[:, ::-1]
-    # edge (u_i, r_i) steps to (u_{i+1}, r_{i+1}); the edges (u_i, r_{i-1}) walk the cycle backwards
-    step, back = other_user[other_res].tolist(), other_user.tolist()
+    # edge (u_i, r_i) steps to (u_{i+1}, r_{i+1}); its partner e ^ 1 = (u_i, r_{i-1}) walks backwards
+    step = (other_res ^ 1).tolist()
     seen = [False] * len(step)
     order, starts = [], []
     for e in range(len(step)):
         if not seen[e]:
             starts.append(len(order))
         while not seen[e]:
-            seen[e] = seen[back[e]] = True
+            seen[e] = seen[e ^ 1] = True
             order.append(e)
             e = step[e]
-    starts = np.array(starts, dtype=np.intp)
+    order, starts = np.array(order, dtype=np.intp), np.array(starts, dtype=np.intp)
     lengths = np.diff(starts, append=len(order))
     twist = sig.weights[order] * np.conj(sig.weights[other_res[order]])
     phi = np.repeat(np.angle(np.multiply.reduceat(twist, starts)), lengths)
     k = np.arange(len(order)) - np.repeat(starts, lengths)
     theta = (phi + 2.0 * math.pi * k) / np.repeat(lengths, lengths)
-    return sig.cols[order], starts, 2.0 + 2.0 * np.cos(theta)
+    return order // 2, starts, 2.0 + 2.0 * np.cos(theta)
 
 
 @functools.cache
@@ -415,12 +397,25 @@ class McEstimate:
     samples: tuple[float, ...]
 
 
-def _mc_reduce(values: list[float], seed: int) -> McEstimate:
-    arr = np.asarray(values)
-    stderr = float(arr.std(ddof=1) / math.sqrt(len(arr))) if len(arr) > 1 else 0.0
+def _mc_trials(
+    n_resources: int,
+    config: SystemConfig,
+    trials: int,
+    seed: int,
+    phase_scheme: str,
+    value: Callable[[SignatureMatrix], float],
+) -> McEstimate:
+    """Mean and standard error of value(sig) over draws from the substreams (seed, t), t < trials."""
+    if trials < 1:
+        raise ConfigurationError("trials must be >= 1")
+    values = np.empty(trials)
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        values[t] = value(generate_signature(n_resources, config.d, config.beta_d, phase_scheme, rng))
+    stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(
-        estimate=float(arr.mean()), stderr=stderr, trials=len(arr),
-        seed=seed, samples=tuple(float(v) for v in arr),
+        estimate=float(values.mean()), stderr=stderr, trials=trials,
+        seed=seed, samples=tuple(values.tolist()),
     )
 
 
@@ -438,19 +433,16 @@ def empirical_capacity_opt(
     2 sum log2 L_ii over the Cholesky factor L on the smaller Gram side; no
     eigensolve runs.
     """
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
     c = config.snr / config.d
-    values = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        sig = generate_signature(n_resources, config.d, config.beta_d, phase_scheme, rng)
+
+    def bits(sig: SignatureMatrix) -> float:
         if config.d == config.beta_d == 2:
             logdet = float(np.log1p(c * _cycles(sig)[2]).sum())
         else:
             logdet = float(2.0 * np.log(_cholesky(sig, config.snr)[0].diagonal().real).sum())
-        values.append(logdet / (n_resources * LN2))
-    return _mc_reduce(values, seed)
+        return logdet / (n_resources * LN2)
+
+    return _mc_trials(n_resources, config, trials, seed, phase_scheme, bits)
 
 
 def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
@@ -503,16 +495,11 @@ def empirical_capacity_lmmse(
     phase_scheme: str = "uniform",
 ) -> McEstimate:
     """Per-user LMMSE spectral-efficiency estimate beta * E[log2(1/M_kk)]."""
-    if trials < 1:
-        raise ConfigurationError("trials must be >= 1")
     beta = config.beta_d / config.d
-    values = []
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        sig = generate_signature(n_resources, config.d, config.beta_d, phase_scheme, rng)
-        diag = lmmse_diagonal(sig, config.snr)
-        values.append(float(-beta * np.log(diag).mean() / LN2))
-    return _mc_reduce(values, seed)
+    return _mc_trials(
+        n_resources, config, trials, seed, phase_scheme,
+        lambda sig: float(-beta * np.log(lmmse_diagonal(sig, config.snr)).mean() / LN2),
+    )
 
 
 def feasible_resources(n_resources: int, d: int, beta_d: int) -> int:

@@ -9,7 +9,6 @@ from sparse_noma import DomainError, SystemConfig, capacity_lmmse, capacity_opti
 from sparse_noma.asymptotics import (
     HighSnrParams,
     LowSnrParams,
-    approx_rate,
     high_snr_lmmse,
     high_snr_optimum,
     low_snr_lmmse,
@@ -105,11 +104,11 @@ class TestHighSnr:
         for d, bd in ((2, 2), (3, 2), (3, 6), (10, 10)):
             cfg = SystemConfig(d, bd, snr)
             p = high_snr_optimum(d, bd)
-            resid = capacity_optimum(cfg).spectral_efficiency - approx_rate(p, "high", snr)
+            resid = capacity_optimum(cfg).spectral_efficiency - p.rate(snr)
             assert abs(resid) < 1e-2
             p = high_snr_lmmse(d, bd)
             if p.l_inf is not None:
-                resid = capacity_lmmse(cfg).spectral_efficiency - approx_rate(p, "high", snr)
+                resid = capacity_lmmse(cfg).spectral_efficiency - p.rate(snr)
                 assert abs(resid) < 1e-2
 
     def test_offset_continuity_across_unit_load(self):
@@ -125,31 +124,24 @@ class TestHighSnr:
 class TestApproxRate:
     def test_zero_at_threshold(self):
         p = low_snr_optimum(3, 2)
-        assert approx_rate(p, "low", p.ebn0_min_db) == 0.0
+        assert p.rate(p.ebn0_min_db) == 0.0
 
     def test_reference_point(self):
-        val = approx_rate(low_snr_optimum(2, 2), "low", 0.0)
+        val = low_snr_optimum(2, 2).rate(0.0)
         assert val == pytest.approx(0.7050218305931968, rel=1e-12)
 
     def test_high_slope_by_construction(self):
         p = high_snr_optimum(3, 2)
-        delta = approx_rate(p, "high", 4000.0) - approx_rate(p, "high", 1000.0)
+        delta = p.rate(4000.0) - p.rate(1000.0)
         assert delta == pytest.approx(2.0 * p.s_inf, rel=1e-12)
 
     def test_regime_validation(self):
-        low, high = low_snr_optimum(2, 2), high_snr_optimum(2, 2)
-        with pytest.raises(DomainError):
-            approx_rate(low, "high", 10.0)
-        with pytest.raises(DomainError):
-            approx_rate(high, "low", 0.0)
-        with pytest.raises(DomainError):
-            approx_rate(high, "sideways", 1.0)
-        with pytest.raises(DomainError):
-            approx_rate(high, "high", 0.0)
+        with pytest.raises(DomainError, match="positive"):
+            high_snr_optimum(2, 2).rate(0.0)
 
     def test_missing_offset_is_an_error(self):
         with pytest.raises(DomainError, match="asymptote"):
-            approx_rate(high_snr_lmmse(2, 4), "high", 100.0)
+            high_snr_lmmse(2, 4).rate(100.0)
 
 
 def test_param_types_are_plain_dataclasses():

@@ -12,6 +12,7 @@ from sparse_noma import (
     SystemConfig,
     capacity_lmmse,
     capacity_optimum,
+    lmmse_error,
 )
 from sparse_noma.baselines import (
     RatePoint,
@@ -121,6 +122,21 @@ def test_sparse_closed_forms_match_paper_formula(d, beta_d):
         for name, fn, ref in (("optimum", capacity_optimum, opt), ("lmmse", capacity_lmmse, lmmse)):
             err = abs(fn(cfg).spectral_efficiency / ref - 1)
             assert err < 1e-12, (name, snr, float(err))
+
+
+@pytest.mark.parametrize(
+    "d,beta_d",
+    [(10, 3), (50, 3), (3, 2), (3, 6), (2, 2), (10, 10), (2, 12), (100, 101), (10**5, 10**5)],
+)
+def test_lmmse_error_matches_paper_formula(d, beta_d):
+    # the SINR, not -log2(m1): m1 rounds to 1 at low snr and would lose the rate
+    for e in range(-12, 15):
+        snr = 10.0 ** e
+        ref = paper_closed_forms(d, beta_d, snr)[1]
+        cfg = SystemConfig(d, beta_d, snr)
+        rate = cfg.beta * math.log1p(lmmse_error(cfg).sinr) / math.log(2.0)
+        err = abs(rate / ref - 1)
+        assert err < 1e-13, (snr, float(err))
 
 
 class TestRateSolver:

@@ -248,24 +248,28 @@ class TestGeneration:
 
 class TestValidate:
     @staticmethod
-    def shuffled(rows, cols, n, k, d, bd, seed=0):
-        """A signature with its edges in a random, not user-grouped, order."""
-        perm = np.random.default_rng(seed).permutation(len(rows))
-        rows, cols = np.asarray(rows)[perm], np.asarray(cols)[perm]
-        return SignatureMatrix(n, k, d, bd, rows, cols, np.ones(len(rows), complex), "repetition")
+    def user_blocks(rows, n, k, d, bd):
+        """A signature whose user c owns rows[c*d:(c+1)*d]."""
+        rows = np.asarray(rows)
+        return SignatureMatrix(n, k, d, bd, rows, np.ones(len(rows), complex), "repetition")
 
     def valid(self):
         # 4 resources, 4 users, d = beta_d = 2: the 8-cycle r0 u0 r1 u1 r2 u2 r3 u3
-        rows = [0, 1, 1, 2, 2, 3, 3, 0]
-        cols = [0, 0, 1, 1, 2, 2, 3, 3]
-        return self.shuffled(rows, cols, 4, 4, 2, 2)
+        return self.user_blocks([0, 1, 1, 2, 2, 3, 3, 0], 4, 4, 2, 2)
 
-    def test_accepts_any_edge_order(self):
-        self.valid().validate()
+    @pytest.mark.parametrize("field", ["rows", "weights"])
+    def test_length_not_k_times_d(self, field):
+        sig = self.valid()
+        sig.validate()
+        assert np.array_equal(sig.cols, np.repeat(np.arange(4), 2))
+        assert sig.cols.dtype == sig.rows.dtype
+        setattr(sig, field, np.concatenate([getattr(sig, field)] * 2))
+        with pytest.raises(GenerationError, match=r"length K\*d = 8"):
+            sig.validate()
 
     def test_duplicate_edge(self):
         # exact degrees, but each resource is connected twice to the same user
-        sig = self.shuffled([0, 0, 1, 1], [0, 0, 1, 1], 2, 2, 2, 2)
+        sig = self.user_blocks([0, 0, 1, 1], 2, 2, 2, 2)
         with pytest.raises(GenerationError, match="duplicate"):
             sig.validate()
 
@@ -283,7 +287,7 @@ class TestValidate:
 
     def test_index_past_the_end(self):
         sig = self.valid()
-        sig.cols[0] = sig.n_users
+        sig.rows[0] = sig.n_resources
         with pytest.raises(GenerationError, match="out of range"):
             sig.validate()
 
@@ -635,9 +639,10 @@ class TestEigensolveDriver:
 
 
 def hand_built(edges, n, k, d, bd, weights):
-    """A SignatureMatrix from (resource, user) edges in user order."""
-    rows, cols = (np.array(x) for x in zip(*edges))
-    sig = SignatureMatrix(n, k, d, bd, rows, cols, np.asarray(weights, dtype=complex), "uniform")
+    """A SignatureMatrix from (resource, user) edges listed user by user."""
+    rows, users = (np.array(x) for x in zip(*edges))
+    assert np.array_equal(users, np.repeat(np.arange(k), d))
+    sig = SignatureMatrix(n, k, d, bd, rows, np.asarray(weights, dtype=complex), "uniform")
     sig.validate()
     return sig
 
@@ -646,12 +651,8 @@ def hand_built(edges, n, k, d, bd, weights):
 # users 2, 3, 4 close a cycle through resources 2, 3, 4
 TWO_CYCLE_EDGES = [(0, 0), (1, 0), (0, 1), (1, 1), (2, 2), (3, 2), (3, 3), (4, 3), (4, 4), (2, 4)]
 TWO_CYCLE_WEIGHTS = np.exp(2j * np.pi * np.random.default_rng(29).random(10))
-# the same edges and weights in a shuffled edge order, which no longer keeps a user's edges together
-SHUFFLE = np.random.default_rng(32).permutation(10)
 HAND_BUILT = {
     "uniform": lambda: hand_built(TWO_CYCLE_EDGES, 5, 5, 2, 2, TWO_CYCLE_WEIGHTS),
-    "permuted": lambda: hand_built(
-        [TWO_CYCLE_EDGES[i] for i in SHUFFLE], 5, 5, 2, 2, TWO_CYCLE_WEIGHTS[SHUFFLE]),
     # 1*1 + 1*(-1): the 2-cycle's off-diagonal entry cancels, leaving two isolated vertices
     "binary": lambda: hand_built(TWO_CYCLE_EDGES, 5, 5, 2, 2, [1, 1, 1, -1, 1, -1, 1, 1, -1, 1]),
     # K > N: on the resource side each resource's three users all lead to one other resource
@@ -737,18 +738,6 @@ class TestBandRoute:
             assert np.allclose(lmmse_diagonal(sig, self.SNR), dense_mmse(sig, self.SNR), rtol=1e-12, atol=0.0)
         else:
             assert_cycle_route_matches_dense(sig, self.SNR)
-
-    def test_walk_does_not_depend_on_edge_order(self):
-        # a shuffled criterion-4 draw: thousands of edges, no user's edges kept together
-        sig = self.signature(2000, "uniform")
-        order = np.random.default_rng(33).permutation(len(sig.rows))
-        shuffled = dataclasses.replace(
-            sig, rows=sig.rows[order], cols=sig.cols[order], weights=sig.weights[order])
-        shuffled.validate()
-        want = empirical_spectrum(sig).eigenvalues
-        assert np.max(np.abs(empirical_spectrum(shuffled).eigenvalues - want)) <= 1e-12 * want[-1]
-        assert np.allclose(lmmse_diagonal(shuffled, self.SNR), lmmse_diagonal(sig, self.SNR),
-                           rtol=1e-12, atol=0.0)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -848,18 +837,18 @@ class TestSparseLayout:
         sig = generate_signature(n, d, bd, scheme, seed=17)
         assert np.array_equal(sig.to_sparse().toarray(), dense_from_edges(sig))
 
-    @pytest.mark.parametrize("case", ["uniform", "permuted"])
+    @pytest.mark.parametrize("case", ["uniform"])
     def test_hand_built_matches_edge_list(self, case):
-        # hand_built keeps int64 lists; "permuted" is not in user-block order
+        # hand_built keeps int64 lists
         sig = HAND_BUILT[case]()
-        assert sig.rows.dtype == np.int64
+        assert sig.rows.dtype == sig.cols.dtype == np.int64
         a = sig.to_sparse()
         assert np.array_equal(a.toarray(), dense_from_edges(sig))
         assert np.array_equal(a.indptr, np.arange(0, 11, 2))
-        assert np.shares_memory(a.data, sig.weights) == (case == "uniform")
+        assert np.shares_memory(a.data, sig.weights)
 
     def test_retained_bytes_per_edge(self):
-        # 4 + 4 index bytes and 16 weight bytes per edge, plus the int32 column pointer
+        # 4 index bytes and 16 weight bytes per edge, plus the int32 column pointer
         generate_signature(200, 10, 10, seed=0).to_sparse()  # first-call allocations happen outside
         tracemalloc.start()
         try:
@@ -871,7 +860,7 @@ class TestSparseLayout:
             tracemalloc.stop()
         n_edges, k = a.nnz, sig.n_users
         assert n_edges == 200_000
-        assert retained <= 25 * n_edges + 4 * (k + 1)
+        assert retained <= 21 * n_edges + 4 * (k + 1)
 
     @staticmethod
     def peak_bytes_per_edge(call, n_edges):
@@ -883,9 +872,9 @@ class TestSparseLayout:
             tracemalloc.stop()
 
     def test_generation_peak_bytes_per_edge(self):
-        # the 24 retained bytes plus one float per edge: the phases, then validate's modulus
+        # the 20 retained bytes plus one float per edge: the phases, then validate's modulus
         generate_signature(200, 10, 10, seed=0)
-        assert self.peak_bytes_per_edge(lambda: generate_signature(20_000, 10, 10, seed=1), 200_000) <= 34
+        assert self.peak_bytes_per_edge(lambda: generate_signature(20_000, 10, 10, seed=1), 200_000) <= 30
 
     def test_validate_peak_bytes_per_edge(self):
         # one float modulus per edge; the duplicate check sorts an int32 copy of rows
