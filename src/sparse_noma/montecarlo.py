@@ -12,8 +12,13 @@ indices, complex128 weights), and its sparse operator is a read-only CSC
 view of those arrays plus a K + 1 column pointer.  Dense algebra runs on the
 smaller Gram side, real when every weight is real.  Only the empirical
 spectrum is an eigensolve (LAPACK's two-stage ?heevd_2stage
-through ctypes, else numpy.linalg.eigvalsh): both capacity estimates factor
-I + snr R (Cholesky log-determinant, triangular-inverse MMSE diagonal).
+through ctypes, else numpy.linalg.eigvalsh) on one dense m x m copy.  Both
+capacity estimates factor I + snr R in LAPACK's rectangular full packed
+(RFP) format, which keeps only the m(m+1)/2 lower entries, 8 m(m+1) bytes
+for complex weights instead of 16 m^2, and still runs level-3 BLAS: the
+log-determinant from the Cholesky diagonal (pftrf), the MMSE diagonal from
+the inverted factor (tftri) or the inverse (pftri).  LAPACKE routines that
+scipy does not wrap are bound through ctypes in one place (_lapacke).
 scipy is imported inside the functions that run sparse or dense algebra, so
 importing this module (and the CLI's closed-form commands) loads numpy only:
 to_sparse loads scipy.sparse, the LAPACK routes scipy.linalg, once per
@@ -276,19 +281,50 @@ def _smaller_gram(sig: SignatureMatrix) -> tuple[sp.csc_matrix, sp.spmatrix, boo
     return a, gram, user_side
 
 
-def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, sp.csc_matrix, bool]:
-    """Dense lower Cholesky factor of I + (snr/d) G on the smaller Gram side, with A and the side."""
+def _rfp_positions(n: int, i, j) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of the lower entries (i, j), i >= j, of an n x n matrix in RFP, and which are conjugated.
+
+    LAPACK's rectangular full packed format (TRANSR='N', UPLO='L'; Gustavson,
+    Wasniewski, Dongarra and Langou, ACM TOMS 37(2), 2010) keeps the n(n+1)/2
+    lower entries in an lda x ceil(n/2) column-major array, lda = n + 1 for
+    even n and n for odd n.  The first ceil(n/2) columns are stored whole,
+    one row down when n is even; the trailing lower triangle is stored
+    conjugate-transposed above them.
+    """
+    s, n1 = 1 - n % 2, (n + 1) // 2
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    conj = j >= n1
+    return np.where(conj, (j - n1) + (i - n1 + 1 - s) * (n + s), (i + s) + j * (n + s)), conj
+
+
+def _rfp_diagonal(arf: np.ndarray, n: int) -> np.ndarray:
+    """The real diagonal of an n x n Hermitian (or triangular) matrix held in RFP."""
+    idx = np.arange(n)
+    return arf[_rfp_positions(n, idx, idx)[0]].real
+
+
+def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
+    """Lower Cholesky factor of I + (snr/d) G on the smaller Gram side in RFP, and whether that is the user side.
+
+    The lower triangle of the sparse matrix is scattered straight into a
+    zeroed RFP array, which LAPACK pftrf factors in place: m(m+1)/2 entries,
+    8 m(m+1) bytes for complex weights and half that for real ones, where a
+    full m x m copy would take 16 m^2.
+    """
     import scipy.linalg as sla
     import scipy.sparse as sp
 
-    a, gram, user_side = _smaller_gram(sig)
-    # Fortran order lets potrf factor the one dense copy in place
-    m = (sp.identity(gram.shape[0]) + (snr / sig.d) * gram).toarray(order="F")
-    potrf = sla.get_lapack_funcs("potrf", (m,))
-    low, info = potrf(m, lower=True, clean=True, overwrite_a=True)
+    _, gram, user_side = _smaller_gram(sig)
+    m = gram.shape[0]
+    low = sp.tril(sp.identity(m) + (snr / sig.d) * gram).tocoo()
+    pos, conj = _rfp_positions(m, low.row, low.col)
+    arf = np.zeros(m * (m + 1) // 2, dtype=low.dtype)
+    arf[pos] = np.where(conj, low.data.conj(), low.data)
+    pftrf = sla.get_lapack_funcs("pftrf", (arf,))
+    arf, info = pftrf(m, arf, transr="N", uplo="L", overwrite_a=True)
     if info != 0:
-        raise NumericalError(f"Cholesky factorization of I + snr R failed (potrf info {info})")
-    return low, a, user_side
+        raise NumericalError(f"Cholesky factorization of I + snr R failed (pftrf info {info})")
+    return arf, user_side
 
 
 def _cycles(sig: SignatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -325,21 +361,32 @@ def _cycles(sig: SignatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order // 2, starts, 2.0 + 2.0 * np.cos(theta)
 
 
+_C_ARGS = {"i": ctypes.c_int, "c": ctypes.c_char, "p": ctypes.c_void_p}
+
+
 @functools.cache
-def _two_stage_driver(complex_: bool):
-    """(name, ctypes function) of LAPACKE's two-stage eigenvalue driver, or None if absent."""
+def _lapacke(name: str, args: str):
+    """LAPACKE_<name> as a ctypes function returning int, or None if absent.
+
+    ``args`` spells the argument types, one letter each: i int, c char, p
+    pointer.  Bound on first call from the LP64 LAPACK scipy links; dlsym
+    also searches its dependencies.
+    """
     from scipy.linalg import cython_lapack
 
-    name = "zheevd_2stage" if complex_ else "dsyevd_2stage"
-    # bound on first call, from the LP64 LAPACK scipy links; dlsym also searches its dependencies
     lib = ctypes.CDLL(cython_lapack.__file__)
     fn = getattr(lib, "scipy_LAPACKE_" + name, None) or getattr(lib, "LAPACKE_" + name, None)
-    if fn is None:
-        return None
-    i, c, p = ctypes.c_int, ctypes.c_char, ctypes.c_void_p
-    fn.argtypes = [i, c, c, i, p, i, p]  # (layout, jobz, uplo, n, a, lda, w)
-    fn.restype = ctypes.c_int
-    return name, fn
+    if fn is not None:
+        fn.argtypes = [_C_ARGS[t] for t in args]
+        fn.restype = ctypes.c_int
+    return fn
+
+
+def _two_stage_driver(complex_: bool):
+    """(name, ctypes function) of LAPACKE's two-stage eigenvalue driver, or None if absent."""
+    name = "zheevd_2stage" if complex_ else "dsyevd_2stage"
+    fn = _lapacke(name, "iccipip")  # (layout, jobz, uplo, n, a, lda, w)
+    return None if fn is None else (name, fn)
 
 
 def _eigvalsh(gram: sp.spmatrix, scale: float) -> tuple[np.ndarray, str]:
@@ -430,7 +477,8 @@ def empirical_capacity_opt(
 
     Each trial is log2 det(I + snr G/d) / N: at d = beta_d = 2 the sum of
     log1p(snr mu / d) over the cycle eigenvalues mu of G, otherwise
-    2 sum log2 L_ii over the Cholesky factor L on the smaller Gram side; no
+    2 sum log2 L_ii over the diagonal of the Cholesky factor L, held in RFP
+    on the smaller Gram side (8 m(m+1) bytes for complex weights); no
     eigensolve runs.
     """
     c = config.snr / config.d
@@ -439,7 +487,8 @@ def empirical_capacity_opt(
         if config.d == config.beta_d == 2:
             logdet = float(np.log1p(c * _cycles(sig)[2]).sum())
         else:
-            logdet = float(2.0 * np.log(_cholesky(sig, config.snr)[0].diagonal().real).sum())
+            low = _rfp_diagonal(_cholesky(sig, config.snr)[0], min(sig.n_users, sig.n_resources))
+            logdet = float(2.0 * np.log(low).sum())
         return logdet / (n_resources * LN2)
 
     return _mc_trials(n_resources, config, trials, seed, phase_scheme, bits)
@@ -451,17 +500,21 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     At d = beta_d = 2 the gauge that makes each cycle's Gram circulant leaves
     the diagonal of the inverse constant on the cycle: every user on it gets
     (1/L) sum_k 1/(1 + (snr/d) mu_k) over the cycle's Gram eigenvalues mu_k.
-    Otherwise, from the Cholesky factor L of I + (snr/d) G on the smaller
-    Gram side, inverted in place (LAPACK trtri), user k's MMSE is
-    |column k of L^{-1}|^2 when K <= N, else 1 - (snr/d) |L^{-1} a_k|^2.
-    Both reductions run in panels of at most 256 columns or 128 users, so
-    their temporaries stay a few MB beside the m x m factor.
+    Otherwise M = I + (snr/d) G on the smaller Gram side is factored in RFP
+    (see _cholesky: 8 m(m+1) bytes for complex weights, where a dense copy
+    takes 16 m^2) and no m x m array is formed.  When K <= N
+    the factor is inverted in place (LAPACK tftri) and user k's MMSE is
+    |column k of L^{-1}|^2, summed in panels of at most 256 RFP columns;
+    where LAPACKE lacks tftri, the diagonal of M^{-1} from pftri is read
+    instead.  When K > N, pftri gives M^{-1} in RFP and user k's MMSE is
+    1 - (snr/d) a_k^H M^{-1} a_k, gathered from the d(d+1)/2 entries that
+    user k's resources pick out.
     """
     if not snr > 0.0:
         raise DomainError(f"snr must be positive, got {snr!r}")
     c = snr / sig.d
-    k, panel, block = sig.n_users, 256, 128
-    diag = np.empty(k)
+    k, d, panel = sig.n_users, sig.d, 256
+    diag = np.zeros(k)
     if sig.d == sig.beta_d == 2:
         users, starts, mu = _cycles(sig)
         lengths = np.diff(starts, append=k)
@@ -469,19 +522,44 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     else:
         import scipy.linalg as sla
 
-        low, a, user_side = _cholesky(sig, snr)
-        trtri = sla.get_lapack_funcs("trtri", (low,))
-        inv, info = trtri(low, lower=True, overwrite_c=True)
-        if info != 0:
-            raise NumericalError(f"inverting the Cholesky factor failed (trtri info {info})")
-        if user_side:
-            for start in range(0, k, panel):
-                diag[start : start + panel] = (np.abs(inv[:, start : start + panel]) ** 2).sum(axis=0)
+        arf, user_side = _cholesky(sig, snr)
+        m = k if user_side else sig.n_resources
+        kind = "z" if np.iscomplexobj(arf) else "d"
+        tftri = _lapacke(kind + "tftri", "icccip") if user_side else None  # (layout, transr, uplo, diag, n, a)
+        if tftri is not None:
+            info = tftri(102, b"N", b"L", b"N", m, arf.ctypes.data)  # column major, overwrites arf
+            if info != 0:
+                raise NumericalError(f"inverting the Cholesky factor failed ({kind}tftri info {info})")
+            # column j < n1 of L^{-1} runs down b[j + s:, j], column n1 + j' along b[j', j' + 1 - s:]
+            s, n1, n2 = 1 - m % 2, (m + 1) // 2, m // 2
+            b = arf.reshape(-1, m + s).T
+            for start in range(0, n1, panel):
+                sq = np.abs(b[:, start : start + panel]) ** 2
+                upper = np.triu(sq[:n2], 1 - s - start)
+                diag[n1:] += upper.sum(axis=1)
+                sq[:n2] -= upper  # exact: leaves zeros where the trailing triangle was
+                diag[start : start + sq.shape[1]] = sq.sum(axis=0)  # stops at n1
         else:
-            at = a.T  # CSR; row k is a_k, so at @ inv.T has rows (L^{-1} a_k)^T
-            for start in range(0, k, block):
-                y = at[start : start + block] @ inv.T
-                diag[start : start + len(y)] = 1.0 - c * (np.abs(y) ** 2).sum(axis=1)
+            pftri = sla.get_lapack_funcs("pftri", (arf,))
+            inv, info = pftri(m, arf, transr="N", uplo="L", overwrite_a=True)
+            if info != 0:
+                raise NumericalError(f"inverting I + snr R failed (pftri info {info})")
+            if user_side:
+                diag[:] = _rfp_diagonal(inv, m)
+            else:
+                rows, w = sig.rows.reshape(k, d), sig.weights.reshape(k, d)
+                quad = np.zeros(k)
+                for p in range(d):
+                    for q in range(p, d):
+                        rp, rq = rows[:, p], rows[:, q]
+                        pos, conj = _rfp_positions(m, np.maximum(rp, rq), np.minimum(rp, rq))
+                        # M^{-1}[rp, rq] is the stored entry, conjugated when exactly one of the
+                        # RFP layout and rp < rq flips it; Re(u conj(x)) = Re(conj(u) x), and a
+                        # pair p < q stands for (q, p) too
+                        u = np.conj(w[:, p]) * w[:, q]
+                        u = np.where(conj ^ (rp < rq), np.conj(u), u)
+                        quad += (1.0 if p == q else 2.0) * (u * inv[pos]).real
+                diag[:] = 1.0 - c * quad
     if not (np.min(diag) > 0.0 and np.max(diag) <= 1.0 + 1e-10):
         raise NumericalError("per-user MMSE left (0, 1]")
     return np.minimum(diag, 1.0)

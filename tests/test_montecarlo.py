@@ -499,16 +499,15 @@ class TestFactorRoutes:
                            rtol=1e-13, atol=0.0)
         lam, lam_rot = empirical_spectrum(sig).eigenvalues, empirical_spectrum(rotated).eigenvalues
         assert np.allclose(lam, lam_rot, rtol=0.0, atol=1e-13)
-        logdet = [2.0 * np.log(montecarlo._cholesky(s, self.SNR)[0].diagonal().real).sum()
-                  for s in (sig, rotated)]
+        logdet = [dense_logdet(s, self.SNR) for s in (sig, rotated)]
         assert logdet[0] == pytest.approx(logdet[1], rel=1e-13, abs=0.0)
 
 
 class TestFactorFailures:
     def test_failed_cholesky_is_numerical_error(self):
-        # I - G/d is indefinite, so potrf reports a nonpositive pivot
+        # I - G/d is indefinite, so pftrf reports a nonpositive pivot
         sig = generate_signature(24, 2, 4, seed=22)
-        with pytest.raises(NumericalError, match="potrf"):
+        with pytest.raises(NumericalError, match="pftrf"):
             montecarlo._cholesky(sig, -1.0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -518,6 +517,81 @@ class TestFactorFailures:
         with pytest.raises(NumericalError):
             lmmse_diagonal(sig, math.inf)
 
+
+
+# more than 256 RFP columns (one reduction panel), odd and even m, on both Gram sides
+RFP_CASES = [(10, 10, 1000), (10, 10, 1001), (3, 6, 999), (3, 6, 1000)]
+
+
+class TestRfpRoutes:
+    """The factor in rectangular full packed storage: its layout, panels past the first, its memory."""
+
+    SNR, SEED = 10.0, 31
+
+    @pytest.mark.parametrize("complex_", [False, True])
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_positions_match_trttf(self, n, complex_):
+        rng = np.random.default_rng([n, complex_])
+        a = rng.standard_normal((n, n)) + (1j * rng.standard_normal((n, n)) if complex_ else 0.0)
+        trttf = sla.get_lapack_funcs("trttf", (a,))
+        arf, info = trttf(np.asfortranarray(a), transr="N", uplo="L")
+        assert info == 0
+        i, j = np.tril_indices(n)
+        pos, conj = montecarlo._rfp_positions(n, i, j)
+        assert np.array_equal(np.sort(pos), np.arange(n * (n + 1) // 2))
+        assert np.array_equal(np.where(conj, arf[pos].conj(), arf[pos]), a[i, j])
+
+    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
+    @pytest.mark.parametrize("d, bd, n", RFP_CASES)
+    def test_estimators_past_one_panel(self, d, bd, n, scheme):
+        # the draw empirical_capacity_opt makes for trial 0 of SEED
+        sig = generate_signature(n, d, bd, scheme, np.random.default_rng([self.SEED, 0]))
+        assert np.allclose(lmmse_diagonal(sig, self.SNR), dense_mmse(sig, self.SNR), rtol=1e-12, atol=0.0)
+        sign, want = np.linalg.slogdet(dense_smaller_side(sig, self.SNR))
+        assert abs(sign - 1.0) <= 1e-12  # complex weights give a unit complex sign
+        est = empirical_capacity_opt(n, SystemConfig(d, bd, self.SNR), trials=1, seed=self.SEED,
+                                     phase_scheme=scheme)
+        assert est.estimate * n * math.log(2.0) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_peak_memory_is_about_half_a_dense_copy(self):
+        # m = N = 1000 with complex weights: the factor holds 8 m(m+1) bytes, a dense copy 16 m^2
+        m, cfg = 1000, SystemConfig(3, 6, self.SNR)
+        sig = generate_signature(m, 3, 6, "uniform", np.random.default_rng([self.SEED, 0]))
+        empirical_capacity_opt(60, cfg, trials=1)  # first-call allocations happen outside
+        lmmse_diagonal(generate_signature(60, 3, 6, seed=0), self.SNR)
+        for call in (lambda: lmmse_diagonal(sig, self.SNR),
+                     lambda: empirical_capacity_opt(m, cfg, trials=1, seed=self.SEED)):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.65 * 16 * m * m
+
+    def test_tftri_binds_on_this_platform(self):
+        # a silent fallback would keep every result and lose the speed
+        for name in ("ztftri", "dtftri"):
+            assert montecarlo._lapacke(name, "icccip") is not None
+
+    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
+    def test_fallback_without_tftri(self, monkeypatch, scheme):
+        sig = generate_signature(301, 10, 10, scheme, seed=32)
+        direct = lmmse_diagonal(sig, self.SNR)
+        lapacke, asked = montecarlo._lapacke, []
+
+        def without_tftri(name, args):
+            asked.append(name)
+            return None if name.endswith("tftri") else lapacke(name, args)
+
+        monkeypatch.setattr(montecarlo, "_lapacke", without_tftri)
+        assert np.allclose(lmmse_diagonal(sig, self.SNR), direct, rtol=1e-12, atol=0.0)
+        assert asked == [("z" if scheme == "uniform" else "d") + "tftri"]
+
+    def test_tftri_failure_is_numerical_error(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_lapacke", lambda name, args: lambda *a: -5)
+        with pytest.raises(NumericalError, match="ztftri info -5"):
+            lmmse_diagonal(generate_signature(30, 3, 2, seed=13), self.SNR)
 
 def hermitian(rng, m, complex_):
     x = rng.standard_normal((m, m))
@@ -625,7 +699,7 @@ class TestEigensolveDriver:
             empirical_spectrum(sig)
 
     def test_import_does_not_bind(self, run_probe):
-        probe = "import sparse_noma.montecarlo as m; print(m._two_stage_driver.cache_info().currsize)"
+        probe = "import sparse_noma.montecarlo as m; print(m._lapacke.cache_info().currsize)"
         assert run_probe(probe).strip() == "0"
 
     def test_first_spectrum_binds_the_driver(self, run_probe):
@@ -667,8 +741,15 @@ def dense_mmse(sig, snr):
     return np.real(np.diag(np.linalg.inv(np.eye(sig.n_users) + snr * (a.conj().T @ a) / sig.d)))
 
 
+def dense_smaller_side(sig, snr):
+    """I + (snr/d) G as a dense array on the smaller Gram side, built from the sparse operator."""
+    a = sig.to_sparse().toarray()
+    g = a.conj().T @ a if sig.n_users <= sig.n_resources else a @ a.conj().T
+    return np.eye(len(g)) + snr / sig.d * g
+
+
 def dense_logdet(sig, snr):
-    return 2.0 * np.log(montecarlo._cholesky(sig, snr)[0].diagonal().real).sum()
+    return 2.0 * np.log(np.linalg.cholesky(dense_smaller_side(sig, snr)).diagonal().real).sum()
 
 
 def cycle_logdet(sig, snr):
