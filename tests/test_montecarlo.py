@@ -518,7 +518,6 @@ class TestFactorFailures:
             lmmse_diagonal(sig, math.inf)
 
 
-
 # more than 256 RFP columns (one reduction panel), odd and even m, on both Gram sides
 RFP_CASES = [(10, 10, 1000), (10, 10, 1001), (3, 6, 999), (3, 6, 1000)]
 
@@ -592,6 +591,7 @@ class TestRfpRoutes:
         monkeypatch.setattr(montecarlo, "_lapacke", lambda name, args: lambda *a: -5)
         with pytest.raises(NumericalError, match="ztftri info -5"):
             lmmse_diagonal(generate_signature(30, 3, 2, seed=13), self.SNR)
+
 
 def hermitian(rng, m, complex_):
     x = rng.standard_normal((m, m))
