@@ -34,7 +34,8 @@ from .capacity import (
 from .montecarlo import (
     KS_MIN_RESOURCES,
     KS_THRESHOLD,
-    _smaller_gram,
+    _frobenius_sq,
+    _gram_lower,
     compare_to_closed_form,
     feasible_resources,
     generate_signature,
@@ -153,9 +154,8 @@ def check_moment_identities() -> tuple[bool, str]:
         n = feasible_resources(2000, d, bd)
         sig = generate_signature(n, d, bd, "uniform", np.random.default_rng([50_000 + d, bd]))
         b = bd / d
-        _, gram, _ = _smaller_gram(sig)
         m1_emp = float(np.abs(sig.weights**2).sum()) / (d * n)
-        m2_emp = float((np.abs(gram.data) ** 2).sum()) / (d * d * n)
+        m2_emp = _frobenius_sq(*_gram_lower(sig)[:3]) / (d * d * n)
         m2_lim = b * b + b * (d - 1) / d
         r1, r2 = abs(m1_emp - b) / b, abs(m2_emp - m2_lim) / m2_lim
         trace_ok = trace_ok and r1 < 0.01 and r2 < 0.01

@@ -10,8 +10,11 @@ without a pass over all edges.  That layout is already the column structure
 of a CSC matrix: a signature holds 20 bytes per edge (int32 resource
 indices, complex128 weights), and its sparse operator is a read-only CSC
 view of those arrays plus a K + 1 column pointer.  Dense algebra runs on the
-smaller Gram side, real when every weight is real.  Only the empirical
-spectrum is an eigensolve (LAPACK's two-stage ?heevd_2stage
+smaller Gram side, real when every weight is real, and one numpy builder
+(_gram_lower) assembles that side for every consumer: its lower triangle as
+(i, j, v) triplets, formed from the users at each resource or the resources
+in each user block, and summed where two neighbours share an entry.  Only
+the empirical spectrum is an eigensolve (LAPACK's two-stage ?heevd_2stage
 through ctypes, else numpy.linalg.eigvalsh) on one dense m x m copy.  Both
 capacity estimates factor I + snr R in LAPACK's rectangular full packed
 (RFP) format, which keeps only the m(m+1)/2 lower entries, 8 m(m+1) bytes
@@ -19,10 +22,10 @@ for complex weights instead of 16 m^2, and still runs level-3 BLAS: the
 log-determinant from the Cholesky diagonal (pftrf), the MMSE diagonal from
 the inverted factor (tftri) or the inverse (pftri).  LAPACKE routines that
 scipy does not wrap are bound through ctypes in one place (_lapacke).
-scipy is imported inside the functions that run sparse or dense algebra, so
-importing this module (and the CLI's closed-form commands) loads numpy only:
-to_sparse loads scipy.sparse, the LAPACK routes scipy.linalg, once per
-process on first use.
+scipy.sparse is imported only by the public to_sparse, which no route here
+calls, and the LAPACK routes import scipy.linalg on first use; importing
+this module, the CLI's closed-form commands and `validate --quick` load
+numpy only.
 
 At d = beta_d = 2 the graph is a disjoint union of cycles, and on a cycle of
 L users with flux phi the Gram's eigenvalues are 2 + 2 cos((phi + 2 pi k)/L)
@@ -266,19 +269,91 @@ class EmpiricalSpectrum:
         return float(np.mean(self.eigenvalues**2))
 
 
-def _smaller_gram(sig: SignatureMatrix) -> tuple[sp.csc_matrix, sp.spmatrix, bool]:
-    """A, its unscaled sparse Gram product on the smaller side, and whether that is the user side.
+def _pair_products(vals: np.ndarray, p: np.ndarray, q: np.ndarray, user_side: bool, out: np.ndarray) -> None:
+    """Write conj(vals[:, p]) vals[:, q] (user side) or vals[:, p] conj(vals[:, q]) into out.
+
+    Complex products are formed from real ones in place, each real product
+    and sum rounded on its own as in scipy.sparse's A^H A, so an entry of one
+    or two products equals that one to the bit; the temporaries are one real
+    product and one gather.
+    """
+    if not np.iscomplexobj(vals):
+        np.multiply(vals[:, p], vals[:, q], out=out)
+        return
+    re, im = vals.real, vals.imag
+    out.real, out.imag = re[:, p], re[:, p]
+    out.real *= re[:, q]
+    out.imag *= im[:, q]
+    cross = im[:, p]
+    cross *= im[:, q]
+    out.real += cross
+    cross = im[:, p]
+    cross *= re[:, q]
+    out.imag -= cross
+    if not user_side:
+        np.negative(out.imag, out=out.imag)
+
+
+def _gram_lower(sig: SignatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """The unscaled smaller-side Gram's lower triangle (i >= j) as triplets (i, j, v), and whether that is the user side.
 
     A^H A (K x K) when K <= N, otherwise A A^H (N x N).  The two sides share
-    their nonzero eigenvalues; callers apply their own scaling.  A is real when
-    every weight is, and the diagonal must hold d (user side) or beta_d.
+    their nonzero eigenvalues; callers apply their own scaling.  Every entry
+    is a sum over the common neighbours of i and j.  Off the diagonal the
+    products are formed per neighbour: on the user side for each pair of
+    edges at one resource, on the resource side for each pair of edges in
+    one user block.  Each group of edges is put in ascending order of its
+    other end, so pairs p > q within it give i > j.  The diagonal sums |w|^2
+    over each index's edges in edge order and must hold d (user side) or
+    beta_d.  One sort of the keys i m + j puts the entries in row-major
+    order, where those that two neighbours share (a 4-cycle) are summed, so
+    (i, j) is unique.  v is real when every weight is.  The arrays are
+    worked in place and the inputs freed before the sort: at (10,10) with
+    complex weights the traced peak is about 45 bytes per product.
     """
-    a = sig.to_sparse() if sig.weights.imag.any() else sig.to_sparse().real
-    user_side = sig.n_users <= sig.n_resources
-    gram = a.conj().T @ a if user_side else a @ a.conj().T
-    if not np.max(np.abs(gram.diagonal() - (sig.d if user_side else sig.beta_d))) <= _TRACE_TOL:
+    k, n, d, bd = sig.n_users, sig.n_resources, sig.d, sig.beta_d
+    user_side = k <= n
+    w = sig.weights if sig.weights.imag.any() else sig.weights.real
+    if user_side:  # the edges at each resource, ascending, so their users ascend too
+        m, degree = k, d
+        groups = np.sort(np.argsort(sig.rows).reshape(n, bd), axis=1)
+        idx = groups // d
+    else:  # the edges of each user block in ascending resource order
+        m, degree = n, bd
+        groups = np.argsort(sig.rows.reshape(k, d), axis=1)
+        groups += np.arange(0, k * d, d)[:, None]
+        idx = sig.rows[groups]
+    p, q = np.tril_indices(idx.shape[1], -1)
+    n_pairs = len(idx) * len(p)
+    # the pairs' keys and products, then the diagonal's, each in one array for a single sort
+    key = np.empty(n_pairs + m, dtype=np.int32 if m * m < 2**31 else np.int64)
+    v = np.empty(n_pairs + m, dtype=w.dtype)
+    np.multiply(idx[:, p], m, out=key[:n_pairs].reshape(len(idx), len(p)), dtype=key.dtype)
+    key[:n_pairs] += idx[:, q].ravel()
+    _pair_products(w[groups], p, q, user_side, v[:n_pairs].reshape(len(idx), len(p)))
+    del groups, idx
+    key[n_pairs:] = np.arange(m, dtype=key.dtype) * (m + 1)
+    v[n_pairs:] = np.bincount(sig.cols if user_side else sig.rows, weights=w.real**2 + w.imag**2, minlength=m)
+    if not np.max(np.abs(v[n_pairs:] - degree)) <= _TRACE_TOL:
         raise NumericalError("trace identity violated: Gram diagonal differs from the degree")
-    return a, gram, user_side
+    order = np.argsort(key)  # need not be stable: two products add alike in either order
+    key = key[order]
+    if np.iscomplexobj(v):  # permuted in place, one float array at a time
+        v.real = v.real[order]
+        v.imag = v.imag[order]
+    else:
+        v = v[order]
+    del order
+    first = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
+    v = np.add.reduceat(v, first)
+    i, j = np.divmod(key[first], m)
+    return i, j, v, user_side
+
+
+def _frobenius_sq(i: np.ndarray, j: np.ndarray, v: np.ndarray) -> float:
+    """Sum of |G_ij|^2 over the whole Hermitian matrix whose lower triangle is the triplets (i, j, v)."""
+    sq = np.abs(v) ** 2
+    return float(2.0 * sq.sum() - sq[i == j].sum())
 
 
 def _rfp_positions(n: int, i, j) -> tuple[np.ndarray, np.ndarray]:
@@ -306,20 +381,21 @@ def _rfp_diagonal(arf: np.ndarray, n: int) -> np.ndarray:
 def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     """Lower Cholesky factor of I + (snr/d) G on the smaller Gram side in RFP, and whether that is the user side.
 
-    The lower triangle of the sparse matrix is scattered straight into a
-    zeroed RFP array, which LAPACK pftrf factors in place: m(m+1)/2 entries,
-    8 m(m+1) bytes for complex weights and half that for real ones, where a
-    full m x m copy would take 16 m^2.
+    The Gram's lower-triangle triplets (_gram_lower), scaled and with 1 added
+    on the diagonal, are scattered straight into a zeroed RFP array, which
+    LAPACK pftrf factors in place: m(m+1)/2 entries, 8 m(m+1) bytes for
+    complex weights and half that for real ones, where a full m x m copy
+    would take 16 m^2.
     """
     import scipy.linalg as sla
-    import scipy.sparse as sp
 
-    _, gram, user_side = _smaller_gram(sig)
-    m = gram.shape[0]
-    low = sp.tril(sp.identity(m) + (snr / sig.d) * gram).tocoo()
-    pos, conj = _rfp_positions(m, low.row, low.col)
-    arf = np.zeros(m * (m + 1) // 2, dtype=low.dtype)
-    arf[pos] = np.where(conj, low.data.conj(), low.data)
+    i, j, v, user_side = _gram_lower(sig)
+    m = sig.n_users if user_side else sig.n_resources
+    v *= snr / sig.d
+    v[i == j] += 1.0
+    pos, conj = _rfp_positions(m, i, j)
+    arf = np.zeros(m * (m + 1) // 2, dtype=v.dtype)
+    arf[pos] = np.where(conj, v.conj(), v)
     pftrf = sla.get_lapack_funcs("pftrf", (arf,))
     arf, info = pftrf(m, arf, transr="N", uplo="L", overwrite_a=True)
     if info != 0:
@@ -389,10 +465,18 @@ def _two_stage_driver(complex_: bool):
     return None if fn is None else (name, fn)
 
 
-def _eigvalsh(gram: sp.spmatrix, scale: float) -> tuple[np.ndarray, str]:
-    """Ascending eigenvalues of the Hermitian gram / scale, and the driver that computed them."""
+def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float) -> tuple[np.ndarray, str]:
+    """Ascending eigenvalues of the m x m Hermitian G / scale, and the driver that computed them.
+
+    G is given by its lower triangle as triplets (i, j, v), i >= j, the form
+    _gram_lower returns; both drivers read only that triangle, so the upper
+    one of the dense copy stays zero.
+    """
     # the driver reads a as float64 or complex128 in column-major order
-    a = (gram / scale).astype(complex if np.iscomplexobj(gram) else float).toarray(order="F")
+    a = np.zeros((m, m), dtype=complex if np.iscomplexobj(v) else float, order="F")
+    # by the reciprocal, as scipy.sparse scales: at exactly degenerate eigenvalues a last-digit
+    # change of an entry can move a KS distance by about 1e-8
+    a[i, j] = v * (1.0 / scale)
     name, fn = _two_stage_driver(np.iscomplexobj(a)) or ("eigvalsh", None)
     if fn is None:
         return np.linalg.eigvalsh(a), name
@@ -412,14 +496,17 @@ def empirical_spectrum(sig: SignatureMatrix) -> EmpiricalSpectrum:
     eigenvalue is 1 + cos((phi + 2 pi k)/L) of its cycle (exactly 2 and 0 at
     phi = 0); otherwise LAPACK's two-stage driver in place on the one dense
     copy, else numpy.linalg.eigvalsh, both backward stable (errors about N ulp
-    of the largest eigenvalue).  Mean and sum of squares are checked.
+    of the largest eigenvalue).  The dense copy is filled from the Gram's
+    lower-triangle triplets (_gram_lower), which also give the squared
+    Frobenius norm: the mean and the sum of squares of the eigenvalues are
+    checked against the trace and that norm.
     """
     n, k = sig.n_resources, sig.n_users
-    _, gram, _ = _smaller_gram(sig)
+    i, j, v, _ = _gram_lower(sig)
     if sig.d == sig.beta_d == 2:
         eigs, driver = _cycles(sig)[2] / sig.d, "cycles"
     else:
-        eigs, driver = _eigvalsh(gram, sig.d)
+        eigs, driver = _eigvalsh(min(n, k), i, j, v, sig.d)
     if k < n:
         eigs = np.concatenate([np.zeros(n - k), eigs])
     # the Gram matrix is PSD; negatives are eigensolver noise
@@ -427,7 +514,7 @@ def empirical_spectrum(sig: SignatureMatrix) -> EmpiricalSpectrum:
     beta = sig.beta_d / sig.d
     if abs(float(np.mean(eigs)) - beta) > _TRACE_TOL:
         raise NumericalError("trace identity violated: mean eigenvalue differs from beta")
-    frobenius = float(np.sum(np.abs(gram.data) ** 2)) / sig.d**2
+    frobenius = _frobenius_sq(i, j, v) / sig.d**2
     if abs(float(np.sum(eigs**2)) - frobenius) > _TRACE_TOL * frobenius:
         raise NumericalError("trace identity violated: squared eigenvalues do not sum to ||G||_F^2/d^2")
     return EmpiricalSpectrum(eigenvalues=eigs, n_resources=n, n_users=k, driver=driver)

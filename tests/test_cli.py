@@ -333,6 +333,17 @@ class TestImports:
         )
         assert run_probe(probe).strip() == f"{[0] * len(self.CLOSED_FORM_CALLS)} []"
 
+    def test_validate_quick_loads_no_scipy(self, run_probe):
+        probe = (
+            "import contextlib, io, sys; from sparse_noma.cli import main\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = main(['validate', '--quick'])\n"
+            "print(code, out.getvalue().splitlines()[-1], "
+            "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        assert run_probe(probe).strip() == "0 12 passed, 0 failed, 2 skipped []"
+
 
 class TestUnits:
     @given(st.floats(-40.0, 40.0))

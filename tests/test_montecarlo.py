@@ -11,7 +11,6 @@ from collections import Counter, defaultdict
 import numpy as np
 import pytest
 import scipy.linalg as sla
-import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from sparse_noma import (
@@ -614,10 +613,15 @@ MATRICES = {
 }
 
 
+def dense_gram(sig):
+    """The unscaled Gram on the smaller side, A^H A or A A^H, by dense products of the sparse operator's array."""
+    a = sig.to_sparse().toarray()
+    return a.conj().T @ a if sig.n_users <= sig.n_resources else a @ a.conj().T
+
+
 def eigvalsh_spectrum(sig):
-    """empirical_spectrum's eigenvalues by numpy.linalg.eigvalsh on the same Gram matrix."""
-    _, gram, _ = montecarlo._smaller_gram(sig)
-    eigs = np.linalg.eigvalsh(gram.toarray() / sig.d)
+    """empirical_spectrum's eigenvalues by numpy.linalg.eigvalsh on the dense Gram, built without the package's builder."""
+    eigs = np.linalg.eigvalsh(dense_gram(sig) / sig.d)
     eigs = np.concatenate([np.zeros(sig.n_resources - len(eigs)), eigs])
     return np.sort(np.clip(eigs, 0.0, None))
 
@@ -646,14 +650,16 @@ class TestEigensolveDriver:
         rng = np.random.default_rng([m, complex_, len(kind)])
         mat = MATRICES[kind](rng, m, complex_).astype(complex if complex_ else float)
         want = np.linalg.eigvalsh(mat)
-        got, driver = montecarlo._eigvalsh(sp.csr_matrix(mat), 1.0)
+        i, j = np.tril_indices(m)
+        got, driver = montecarlo._eigvalsh(m, i, j, mat[i, j], 1.0)
         assert driver == ("zheevd_2stage" if complex_ else "dsyevd_2stage")
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.complex64])
     def test_single_precision_gram_is_widened(self, dtype):
         mat = hermitian(np.random.default_rng(28), 40, np.iscomplexobj(dtype(0))).astype(dtype)
-        got, _ = montecarlo._eigvalsh(sp.csr_matrix(mat), 2.0)
+        i, j = np.tril_indices(40)
+        got, _ = montecarlo._eigvalsh(40, i, j, mat[i, j], 2.0)
         want = np.linalg.eigvalsh(mat.astype(np.complex128) / 2.0)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -743,8 +749,7 @@ def dense_mmse(sig, snr):
 
 def dense_smaller_side(sig, snr):
     """I + (snr/d) G as a dense array on the smaller Gram side, built from the sparse operator."""
-    a = sig.to_sparse().toarray()
-    g = a.conj().T @ a if sig.n_users <= sig.n_resources else a @ a.conj().T
+    g = dense_gram(sig)
     return np.eye(len(g)) + snr / sig.d * g
 
 
@@ -809,9 +814,9 @@ class TestBandRoute:
     @pytest.mark.parametrize("case", list(HAND_BUILT))
     def test_hand_built_paths(self, case):
         sig = HAND_BUILT[case]()
-        _, gram, user_side = montecarlo._smaller_gram(sig)
-        assert user_side == (case != "resource side")
-        assert min(np.diff(gram.indptr)) < 3  # the 2-cycle leaves a Gram row with one neighbour or none
+        assert montecarlo._gram_lower(sig)[3] == (case != "resource side")
+        # the 2-cycle leaves a Gram row with one neighbour or none
+        assert min(np.count_nonzero(dense_gram(sig), axis=1)) < 3
         if case == "resource side":  # d = 2, beta_d = 3 takes the dense routes
             spec, want = empirical_spectrum(sig), eigvalsh_spectrum(sig)
             assert spec.driver == "zheevd_2stage"
@@ -878,6 +883,92 @@ class TestBandRoute:
             "'scipy.sparse.csgraph' in sys.modules)"
         )
         assert run_probe(probe).split() == ["cycles", "False"]
+
+
+def gram_from_triplets(sig):
+    """The dense Hermitian Gram rebuilt from _gram_lower's triplets, after checking their form."""
+    i, j, v, user_side = montecarlo._gram_lower(sig)
+    assert user_side == (sig.n_users <= sig.n_resources)
+    m = sig.n_users if user_side else sig.n_resources
+    assert np.all(i >= j)
+    assert len(np.unique(i.astype(np.int64) * m + j)) == len(i)  # no (i, j) twice
+    if not sig.weights.imag.any():  # binary and repetition weights
+        assert v.dtype == np.float64
+    low = np.zeros((m, m), dtype=v.dtype)
+    low[i, j] = v
+    return low + np.tril(low, -1).conj().T
+
+
+class TestGramBuilder:
+    """The Gram's lower-triangle triplets against A^H A or A A^H of the dense signature matrix."""
+
+    TOL = 1e-14  # an entry sums at most min(d, beta_d) unit-modulus products
+
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("case", list(HAND_BUILT))
+    def test_hand_built_four_cycles(self, case, real):
+        # user side (m = 5, odd) and resource side (m = 4, even); real weights are the signs of the real parts
+        sig = HAND_BUILT[case]()
+        if real:
+            sig = dataclasses.replace(sig, weights=np.where(sig.weights.real < 0.0, -1.0, 1.0) + 0j)
+        assert np.max(np.abs(gram_from_triplets(sig) - dense_gram(sig))) <= self.TOL
+
+    @pytest.mark.parametrize("case, products", [
+        # users 0 and 1 share resources 0 and 1: conj(A[r, 1]) A[r, 0] over both
+        ("uniform", lambda w: np.conj(w[2]) * w[0] + np.conj(w[3]) * w[1]),
+        # resources 0 and 1 share users 0, 1 and 2: A[1, u] conj(A[0, u]) over all three
+        ("resource side", lambda w: w[1] * np.conj(w[0]) + w[3] * np.conj(w[2]) + w[5] * np.conj(w[4])),
+    ])
+    def test_shared_entry_is_one_summed_triplet(self, case, products):
+        sig = HAND_BUILT[case]()
+        i, j, v, _ = montecarlo._gram_lower(sig)
+        (at,) = np.flatnonzero((i == 1) & (j == 0))
+        assert abs(v[at] - products(sig.weights)) <= self.TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(2, 4),
+        bd=st.integers(2, 6),
+        n=st.integers(5, 40),
+        scheme=st.sampled_from(montecarlo.PHASE_SCHEMES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_draws(self, d, bd, n, scheme, seed):
+        sig = generate_signature(feasible_resources(n, d, bd), d, bd, scheme, seed)
+        assert np.max(np.abs(gram_from_triplets(sig) - dense_gram(sig))) <= self.TOL
+
+    @pytest.mark.parametrize("d, bd", MC_CONFIGS)
+    def test_acceptance_pairs(self, d, bd):
+        n = feasible_resources(KS_MIN_RESOURCES, d, bd)
+        sig = generate_signature(n, d, bd, "uniform", np.random.default_rng([40_000 + d * 100 + bd, 0]))
+        assert np.max(np.abs(gram_from_triplets(sig) - dense_gram(sig))) <= self.TOL
+
+    def test_wrong_diagonal_is_numerical_error(self):
+        sig = generate_signature(60, 3, 6, seed=3)
+        with pytest.raises(NumericalError, match="Gram diagonal"):
+            montecarlo._gram_lower(dataclasses.replace(sig, weights=2.0 * sig.weights))
+
+    def test_peak_bytes_per_pair(self):
+        # (10,10), N = 2000, complex weights: N beta_d (beta_d - 1)/2 = 90,000 products, whose keys
+        # and values are sorted and merged; measured 44.6 bytes per product, bound with a 12% margin
+        montecarlo._gram_lower(generate_signature(60, 10, 10, seed=0))  # first-call allocations happen outside
+        sig = generate_signature(2000, 10, 10, "uniform", seed=1)
+        tracemalloc.start()
+        try:
+            montecarlo._gram_lower(sig)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50 * (2000 * 10 * 9 // 2)
+
+    def test_routes_load_linalg_but_not_sparse(self, run_probe):
+        probe = (
+            "import sys, sparse_noma.montecarlo as m; "
+            "m.empirical_spectrum(m.generate_signature(60, 3, 6, seed=3)); "
+            "m.empirical_capacity_opt(60, m.SystemConfig(3, 6, 10.0), trials=1); "
+            "print('scipy.linalg' in sys.modules, 'scipy.sparse' in sys.modules)"
+        )
+        assert run_probe(probe).split() == ["True", "False"]
 
 
 def dense_from_edges(sig):
