@@ -20,8 +20,15 @@ capacity estimates factor I + snr R in LAPACK's rectangular full packed
 (RFP) format, which keeps only the m(m+1)/2 lower entries, 8 m(m+1) bytes
 for complex weights instead of 16 m^2, and still runs level-3 BLAS: the
 log-determinant from the Cholesky diagonal (pftrf), the MMSE diagonal from
-the inverted factor (tftri) or the inverse (pftri).  LAPACKE routines that
-scipy does not wrap are bound through ctypes in one place (_lapacke).
+the inverted factor (tftri) or the inverse (pftri).  The dense copy and the
+RFP array each live in an anonymous mapping of their own (_mapped_zeros),
+advised for huge pages and unmapped when freed.  From malloc they would stay
+in the process: freeing a mapped block of up to 32 MiB raises glibc's
+dynamic mmap threshold (M_MMAP_THRESHOLD, mallopt(3)) to its size, so the
+next copy comes from the heap and stays resident, and a run of trials
+peaked at the copies kept plus the largest one rather than at the largest
+one alone.  LAPACKE routines that scipy does not wrap are bound through
+ctypes in one place (_lapacke).
 scipy.sparse is imported only by the public to_sparse, which no route here
 calls, and the LAPACK routes import scipy.linalg on first use; importing
 this module, the CLI's closed-form commands and `validate --quick` load
@@ -45,6 +52,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import mmap
+import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -129,7 +138,7 @@ class SignatureMatrix:
     def validate(self) -> None:
         """Raise GenerationError unless a simple regular unit-modulus graph.
 
-        Duplicates are found by sorting each user's d resources, so the
+        Duplicates are found per user block (_repeated_users), so the
         check's transients stay at about the size of ``rows``.
         """
         n, k, d, rows = self.n_resources, self.n_users, self.d, self.rows
@@ -139,10 +148,8 @@ class SignatureMatrix:
             raise GenerationError("an edge index is out of range")
         if not np.array_equal(np.bincount(rows, minlength=n), np.full(n, self.beta_d)):
             raise GenerationError("row degrees are not exactly beta_d")
-        blocks = np.sort(rows.reshape(k, d), axis=1)
-        if (blocks[:, 1:] == blocks[:, :-1]).any():
+        if len(_repeated_users(rows.reshape(k, d))):
             raise GenerationError("duplicate edges survive; the graph is not simple")
-        del blocks  # freed before the float modulus, so the check's peak is one array
         modulus = np.abs(self.weights)
         if not max(np.max(modulus) - 1.0, 1.0 - np.min(modulus)) <= 1e-12:
             raise GenerationError("nonzeros are not unit modulus")
@@ -154,6 +161,27 @@ def _as_rng(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _repeated_users(blocks: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of the K x d ``blocks`` that hold a resource twice.
+
+    Below d = 10 the d(d-1)/2 column pairs are compared, one boolean per
+    user each; from d = 10 on, sorting each row and comparing neighbours is
+    faster.  Column pairs against the sort at N = 1e5, best of nine on one
+    core of a 2-vCPU host: (2,2) 0.12 vs 3.8 ms, (3,6) 0.9 vs 14 ms, (8,8)
+    5.1 vs 7.8 ms, (9,9) 5.1-6.8 vs 5.4-7.7 ms, (10,10) 7.0-7.6 vs
+    5.4-7.0 ms.
+    """
+    k, d = blocks.shape
+    if d < 10:
+        repeated = np.zeros(k, dtype=bool)
+        for p, q in zip(*np.tril_indices(d, -1)):
+            repeated |= blocks[:, p] == blocks[:, q]
+    else:
+        srt = np.sort(blocks, axis=1)
+        repeated = (srt[:, 1:] == srt[:, :-1]).any(axis=1)
+    return np.flatnonzero(repeated)
+
+
 def _repair_to_simple(rng, rows: np.ndarray, d: int, cap: int) -> int | None:
     """Random two-edge swaps (degree-preserving) until no duplicate edges.
 
@@ -162,8 +190,7 @@ def _repair_to_simple(rng, rows: np.ndarray, d: int, cap: int) -> int | None:
     """
     n_edges = len(rows)
     blocks = rows.reshape(-1, d)  # live view: blocks[c] are user c's resources
-    srt = np.sort(blocks, axis=1)
-    users = np.flatnonzero((srt[:, 1:] == srt[:, :-1]).any(axis=1))
+    users = _repeated_users(blocks)
     sub = blocks[users]
     repeated = (sub[:, :, None] == sub[:, None, :]).sum(axis=2) > 1
     dup_idx = (users[:, None] * d + np.arange(d))[repeated]  # ascending edge index
@@ -356,6 +383,42 @@ def _frobenius_sq(i: np.ndarray, j: np.ndarray, v: np.ndarray) -> float:
     return float(2.0 * sq.sum() - sq[i == j].sum())
 
 
+_TRACE_TRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
+    ("PyTraceMalloc_Track", ctypes.pythonapi))
+_TRACE_UNTRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
+    ("PyTraceMalloc_Untrack", ctypes.pythonapi))
+
+
+def _mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """A zeroed Fortran-ordered array in an anonymous private mapping of its own, unmapped when the array is freed.
+
+    The dense copy and the RFP array are the Monte Carlo routes' largest
+    allocations.  From malloc, glibc would map each on its own, but freeing
+    a mapped block of up to 32 MiB raises its dynamic mmap threshold
+    (M_MMAP_THRESHOLD, mallopt(3)) to the block's size and the trim
+    threshold to twice that, so the next copy of that size comes from the
+    brk heap and stays resident once freed: a run of trials would peak at
+    the copies glibc kept plus the largest one.  A mapping of its own
+    returns to the system with the last view of the array.  It is advised
+    MADV_HUGEPAGE, as numpy advises its own large arrays: on 4 KiB pages
+    the dense copy's untouched upper triangle would stay unbacked, but the
+    eigensolve and pftrf + tftri ran 2% and 7% slower there (medians of 24
+    alternating repeats, within the host's spread).  tracemalloc cannot
+    see a mapping, so it is registered in numpy's tracemalloc domain for as
+    long as it lives.
+    """
+    dtype = np.dtype(dtype)
+    count = math.prod(shape)
+    flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}  # anonymous on every platform
+    buf = mmap.mmap(-1, count * dtype.itemsize, **flags)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    a = np.frombuffer(buf, dtype=dtype, count=count).reshape(shape, order="F")
+    _TRACE_TRACK(np.lib.tracemalloc_domain, a.ctypes.data, len(buf))
+    weakref.finalize(buf, _TRACE_UNTRACK, np.lib.tracemalloc_domain, a.ctypes.data)
+    return a
+
+
 def _rfp_positions(n: int, i, j) -> tuple[np.ndarray, np.ndarray]:
     """Flat positions of the lower entries (i, j), i >= j, of an n x n matrix in RFP, and which are conjugated.
 
@@ -385,7 +448,10 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     on the diagonal, are scattered straight into a zeroed RFP array, which
     LAPACK pftrf factors in place: m(m+1)/2 entries, 8 m(m+1) bytes for
     complex weights and half that for real ones, where a full m x m copy
-    would take 16 m^2.
+    would take 16 m^2.  The array has a mapping of its own (_mapped_zeros),
+    so freeing it lowers the resident set; from malloc, glibc's dynamic
+    M_MMAP_THRESHOLD would keep it in the heap for the next trial's smaller
+    arrays.
     """
     import scipy.linalg as sla
 
@@ -394,7 +460,7 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     v *= snr / sig.d
     v[i == j] += 1.0
     pos, conj = _rfp_positions(m, i, j)
-    arf = np.zeros(m * (m + 1) // 2, dtype=v.dtype)
+    arf = _mapped_zeros((m * (m + 1) // 2,), v.dtype)
     arf[pos] = np.where(conj, v.conj(), v)
     pftrf = sla.get_lapack_funcs("pftrf", (arf,))
     arf, info = pftrf(m, arf, transr="N", uplo="L", overwrite_a=True)
@@ -470,10 +536,14 @@ def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float)
 
     G is given by its lower triangle as triplets (i, j, v), i >= j, the form
     _gram_lower returns; both drivers read only that triangle, so the upper
-    one of the dense copy stays zero.
+    one of the dense copy stays zero.  The copy, 16 m^2 bytes for complex
+    weights, has a mapping of its own (_mapped_zeros) and leaves the process
+    when freed: from malloc, glibc's dynamic M_MMAP_THRESHOLD kept a freed
+    copy of up to 32 MiB in the heap, so the next spectrum's copy was added
+    to it rather than put in its place.
     """
     # the driver reads a as float64 or complex128 in column-major order
-    a = np.zeros((m, m), dtype=complex if np.iscomplexobj(v) else float, order="F")
+    a = _mapped_zeros((m, m), complex if np.iscomplexobj(v) else float)
     # by the reciprocal, as scipy.sparse scales: at exactly degenerate eigenvalues a last-digit
     # change of an entry can move a KS distance by about 1e-8
     a[i, j] = v * (1.0 / scale)
@@ -589,9 +659,12 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     (1/L) sum_k 1/(1 + (snr/d) mu_k) over the cycle's Gram eigenvalues mu_k.
     Otherwise M = I + (snr/d) G on the smaller Gram side is factored in RFP
     (see _cholesky: 8 m(m+1) bytes for complex weights, where a dense copy
-    takes 16 m^2) and no m x m array is formed.  When K <= N
+    takes 16 m^2, in a mapping of its own that is returned to the system
+    when freed, not kept in the heap by glibc's M_MMAP_THRESHOLD) and no
+    m x m array is formed.  When K <= N
     the factor is inverted in place (LAPACK tftri) and user k's MMSE is
-    |column k of L^{-1}|^2, summed in panels of at most 256 RFP columns;
+    |column k of L^{-1}|^2, re^2 + im^2 summed in panels of at most 64 RFP
+    columns, whose temporaries stay near 1 MB at m = 2000;
     where LAPACKE lacks tftri, the diagonal of M^{-1} from pftri is read
     instead.  When K > N, pftri gives M^{-1} in RFP and user k's MMSE is
     1 - (snr/d) a_k^H M^{-1} a_k, gathered from the d(d+1)/2 entries that
@@ -600,7 +673,7 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     if not snr > 0.0:
         raise DomainError(f"snr must be positive, got {snr!r}")
     c = snr / sig.d
-    k, d, panel = sig.n_users, sig.d, 256
+    k, d, panel = sig.n_users, sig.d, 64
     diag = np.zeros(k)
     if sig.d == sig.beta_d == 2:
         users, starts, mu = _cycles(sig)
@@ -621,7 +694,10 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
             s, n1, n2 = 1 - m % 2, (m + 1) // 2, m // 2
             b = arf.reshape(-1, m + s).T
             for start in range(0, n1, panel):
-                sq = np.abs(b[:, start : start + panel]) ** 2
+                x = b[:, start : start + panel]
+                sq = x.real * x.real
+                if np.iscomplexobj(x):
+                    sq += x.imag * x.imag
                 upper = np.triu(sq[:n2], 1 - s - start)
                 diag[n1:] += upper.sum(axis=1)
                 sq[:n2] -= upper  # exact: leaves zeros where the trailing triangle was

@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import functools
 import math
+import sys
 import tracemalloc
 import types
 from collections import Counter, defaultdict
@@ -302,6 +303,14 @@ class TestValidate:
         with pytest.raises(GenerationError, match="unit modulus"):
             sig.validate()
 
+    @given(d=st.integers(1, 12), k=st.integers(0, 40), n=st.integers(1, 30), seed=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_users_on_both_sides_of_the_switch(self, d, k, n, seed):
+        # column pairs below d = 10, a per-row sort from there; both against a set per user
+        blocks = np.random.default_rng(seed).integers(0, n, (k, d), dtype=np.int32)
+        want = [c for c in range(k) if len(set(blocks[c].tolist())) < d]
+        assert montecarlo._repeated_users(blocks).tolist() == want
+
 
 class TestEmpiricalSpectrum:
     def test_trace_identity(self):
@@ -517,7 +526,7 @@ class TestFactorFailures:
             lmmse_diagonal(sig, math.inf)
 
 
-# more than 256 RFP columns (one reduction panel), odd and even m, on both Gram sides
+# several 64-column reduction panels, the last one partial, odd and even m, on both Gram sides
 RFP_CASES = [(10, 10, 1000), (10, 10, 1001), (3, 6, 999), (3, 6, 1000)]
 
 
@@ -567,6 +576,26 @@ class TestRfpRoutes:
                 tracemalloc.stop()
             assert peak <= 0.65 * 16 * m * m
 
+    def test_tracemalloc_sees_the_mapped_arrays(self):
+        # a negative control for the guard above: the dense copy and the RFP array live in mappings
+        # of their own, which tracemalloc counts only because they are registered with it
+        m = 1000  # (3,6), N = 1000 with complex weights: K = 2000, so the resource side
+        sig = generate_signature(m, 3, 6, "uniform", np.random.default_rng([self.SEED, 0]))
+        empirical_spectrum(generate_signature(60, 3, 6, seed=0))  # first-call allocations happen outside
+        montecarlo._cholesky(generate_signature(60, 3, 6, seed=0), self.SNR)
+        for call, floor in ((lambda: empirical_spectrum(sig), 16 * m * m),
+                            (lambda: montecarlo._cholesky(sig, self.SNR), 8 * m * (m + 1))):
+            tracemalloc.start()
+            try:
+                result = call()
+                peak = tracemalloc.get_traced_memory()[1]
+                del result
+                current = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert peak >= floor
+            assert current < 1_000_000
+
     def test_tftri_binds_on_this_platform(self):
         # a silent fallback would keep every result and lose the speed
         for name in ("ztftri", "dtftri"):
@@ -590,6 +619,56 @@ class TestRfpRoutes:
         monkeypatch.setattr(montecarlo, "_lapacke", lambda name, args: lambda *a: -5)
         with pytest.raises(NumericalError, match="ztftri info -5"):
             lmmse_diagonal(generate_signature(30, 3, 2, seed=13), self.SNR)
+
+
+RSS_PROBE = """
+import sys
+import numpy as np
+from sparse_noma import montecarlo as mc
+
+def peak():
+    # VmHWM is this process's own peak; ru_maxrss starts at the forking parent's, which can hide the growth
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+
+def run(t, n, d, bd):
+    sig = mc.generate_signature(n, d, bd, "uniform", np.random.default_rng([71, t]))
+    if sys.argv[1] == "spectrum":
+        mc.empirical_spectrum(sig)
+    else:
+        mc.lmmse_diagonal(sig, 10.0)
+
+run(0, 60, 3, 6)  # warm-up: scipy.linalg, the LAPACKE binding
+base = peak()
+for t, case in enumerate(sys.argv[2:], 1):
+    run(t, *map(int, case.split(",")))
+print(peak() - base)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status; the mmap threshold is glibc's")
+class TestResidentMemory:
+    """A sequence of trials peaks at its largest array, not at the sum of the freed ones glibc kept.
+
+    From malloc, freeing a mapped block of up to 32 MiB raises glibc's mmap
+    threshold to its size, so the next copy of that size came from the heap
+    and stayed resident.  Each probe runs in a fresh process: two (3,2) draws
+    at N = 2001 (m = 1334), then the largest array.
+    """
+
+    def test_spectra_peak_at_one_dense_copy(self, run_probe):
+        # (3,6), N = 2000: m = 2000 resources, a 16 m^2 = 61 MiB complex copy; from malloc the
+        # growth was 89.2-90.6 MiB, with the mapped copy 64.9-65.6 MiB
+        m = 2000
+        growth = int(run_probe(RSS_PROBE, "spectrum", "2001,3,2", "2001,3,2", "2000,3,6"))
+        assert growth <= 1.15 * 16 * m * m
+
+    def test_lmmse_peaks_at_one_rfp_factor(self, run_probe):
+        # (10,10), N = 2000: m = 2000 users, an 8 m(m+1) = 30.5 MiB complex RFP array; from malloc,
+        # with 256-column panels, the growth was 54.2-56.5 MiB, with the mapped array 40.4-42.5 MiB
+        m = 2000
+        growth = int(run_probe(RSS_PROBE, "lmmse", "2001,3,2", "2001,3,2", "2000,10,10"))
+        assert growth <= 1.5 * 8 * m * (m + 1)
 
 
 def hermitian(rng, m, complex_):
