@@ -17,7 +17,6 @@ from .capacity import (
     capacity_lmmse,
     capacity_optimum,
     kernel_F,
-    kernel_G,
     lmmse_error,
 )
 from .errors import ConfigurationError, DomainError, GenerationError, NumericalError

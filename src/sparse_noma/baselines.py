@@ -12,7 +12,7 @@ Eb/N0 via the fixed point R = C(R * ebn0 / beta) and adds the time-sharing
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .capacity import _kernel_terms, capacity_lmmse, capacity_optimum

@@ -112,7 +112,11 @@ def paper_closed_forms(d, beta_d, snr):
 
 
 @pytest.mark.parametrize(
-    "d,beta_d", [(2, 2), (3, 2), (2, 3), (3, 6), (10, 3), (10, 30), (50, 3), (2, 12)]
+    "d,beta_d",
+    [
+        (2, 2), (3, 2), (2, 3), (3, 6), (10, 3), (10, 30), (50, 3), (2, 12),
+        (10**3, 10**3), (10**4, 10**4), (10**5, 10**5), (10**5, 2 * 10**5), (2, 10**5), (10**5, 2),
+    ],
 )
 def test_sparse_closed_forms_match_paper_formula(d, beta_d):
     for e in range(-48, 601):
@@ -122,6 +126,21 @@ def test_sparse_closed_forms_match_paper_formula(d, beta_d):
         for name, fn, ref in (("optimum", capacity_optimum, opt), ("lmmse", capacity_lmmse, lmmse)):
             err = abs(fn(cfg).spectral_efficiency / ref - 1)
             assert err < 1e-12, (name, snr, float(err))
+
+
+@given(
+    log_d=st.floats(min_value=math.log10(2), max_value=5),
+    log_bd=st.floats(min_value=math.log10(2), max_value=5),
+    log_snr=st.floats(min_value=-12, max_value=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_sparse_closed_forms_match_paper_formula_at_any_degree(log_d, log_bd, log_snr):
+    d, beta_d, snr = round(10**log_d), round(10**log_bd), 10.0**log_snr
+    opt, lmmse = paper_closed_forms(d, beta_d, snr)
+    cfg = SystemConfig(d, beta_d, snr)
+    for name, fn, ref in (("optimum", capacity_optimum, opt), ("lmmse", capacity_lmmse, lmmse)):
+        err = abs(fn(cfg).spectral_efficiency / ref - 1)
+        assert err < 1e-13, (name, float(err))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,4 @@
-"""Closed-form capacities, the F/G kernels, and the LMMSE error route."""
+"""Closed-form capacities, the F kernel, and the LMMSE error route."""
 
 import math
 
@@ -12,9 +12,9 @@ from sparse_noma import (
     capacity_lmmse,
     capacity_optimum,
     kernel_F,
-    kernel_G,
     lmmse_error,
 )
+from sparse_noma.baselines import baseline_rate
 
 degrees = st.integers(min_value=2, max_value=20)
 snrs = st.floats(min_value=1e-4, max_value=1e4)
@@ -49,36 +49,6 @@ class TestKernelF:
             kernel_F(-1.0, 1.0)
         with pytest.raises(DomainError):
             kernel_F(1.0, -1.0)
-
-
-class TestKernelG:
-    def test_unit_at_zero_x(self):
-        assert kernel_G(0.0, 9.0, 2.0) == pytest.approx(1.0, rel=1e-14)
-
-    def test_reference_value(self):
-        assert kernel_G(5.0, 4.0, 1.0) == pytest.approx(21.0, rel=1e-13)
-
-    def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            kernel_G(1.0, 3.9, 1.0)  # y below (1+sqrt(z))^2 = 4
-        with pytest.raises(DomainError):
-            kernel_G(1.0, 4.0, 0.0)
-
-    def test_boundary_collapse(self):
-        # at y = (1+sqrt(z))^2 the matched terms vanish and G = x(1+sqrt(z))^2 + 1
-        for x, z in ((0.5, 1.0), (3.0, 2.25), (7.0, 0.25)):
-            y = (1 + math.sqrt(z)) ** 2
-            assert kernel_G(x, y, z) == pytest.approx(x * y + 1.0, rel=1e-10)
-
-    @given(
-        x=st.floats(min_value=0.0, max_value=1e4),
-        z=st.floats(min_value=1e-3, max_value=1e3),
-        slack=st.floats(min_value=0.0, max_value=100.0),
-    )
-    @settings(max_examples=100)
-    def test_at_least_one(self, x, z, slack):
-        y = (1 + math.sqrt(z)) ** 2 + slack
-        assert kernel_G(x, y, z) >= 1.0 - 1e-12
 
 
 class TestOptimum:
@@ -205,3 +175,22 @@ def test_dense_limit_matches_dense_formulas():
         - f / (4.0 * snr) * math.log2(math.e)
     )
     assert capacity_optimum(cfg).spectral_efficiency == pytest.approx(dense_opt, abs=1e-2)
+
+
+def _dense_rho(beta, snr):
+    """rho = snr/(P_u P_r) at the dense (d -> infinity) cavity fixed point."""
+    b = 1.0 - (1.0 - beta) * snr
+    p_r = (b + math.sqrt(b * b + 4.0 * snr)) / 2.0
+    p_u = 1.0 + snr / p_r
+    return snr / (p_u * p_r)
+
+
+@pytest.mark.parametrize("beta,snr", ((1, 1.0), (1, 10.0), (2, 10.0), (0.5, 10.0)))
+def test_dense_limit_to_first_order_in_one_over_d(beta, snr):
+    # d (C_opt - C_VS) -> beta rho^2 / (2 ln 2): the 2-cycle term that a dense
+    # matrix has and a simple sparse graph does not
+    const = beta * _dense_rho(beta, snr) ** 2 / (2.0 * math.log(2.0))
+    dense = baseline_rate("rs_cdma_opt", beta, snr)
+    for d in (10**2, 10**3, 10**4, 10**5):
+        gap = capacity_optimum(SystemConfig(d, round(beta * d), snr)).spectral_efficiency - dense
+        assert abs(d * gap - const) <= 0.5 / d, (d, d * (d * gap - const))
