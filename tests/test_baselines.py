@@ -111,6 +111,15 @@ def paper_closed_forms(d, beta_d, snr):
         return opt / mpmath.log(2), lmmse / mpmath.log(2)
 
 
+def assert_matches_paper(d, beta_d, snr, bar):
+    """Both sparse closed forms within `bar` relative of `paper_closed_forms`."""
+    opt, lmmse = paper_closed_forms(d, beta_d, snr)
+    cfg = SystemConfig(d, beta_d, snr)
+    for name, fn, ref in (("optimum", capacity_optimum, opt), ("lmmse", capacity_lmmse, lmmse)):
+        err = abs(fn(cfg).spectral_efficiency / ref - 1)
+        assert err < bar, (name, snr, float(err))
+
+
 @pytest.mark.parametrize(
     "d,beta_d",
     [
@@ -120,12 +129,7 @@ def paper_closed_forms(d, beta_d, snr):
 )
 def test_sparse_closed_forms_match_paper_formula(d, beta_d):
     for e in range(-48, 601):
-        snr = 10.0 ** (e / 4)
-        opt, lmmse = paper_closed_forms(d, beta_d, snr)
-        cfg = SystemConfig(d, beta_d, snr)
-        for name, fn, ref in (("optimum", capacity_optimum, opt), ("lmmse", capacity_lmmse, lmmse)):
-            err = abs(fn(cfg).spectral_efficiency / ref - 1)
-            assert err < 1e-12, (name, snr, float(err))
+        assert_matches_paper(d, beta_d, 10.0 ** (e / 4), 1e-12)
 
 
 @given(
@@ -135,12 +139,7 @@ def test_sparse_closed_forms_match_paper_formula(d, beta_d):
 )
 @settings(max_examples=200, deadline=None)
 def test_sparse_closed_forms_match_paper_formula_at_any_degree(log_d, log_bd, log_snr):
-    d, beta_d, snr = round(10**log_d), round(10**log_bd), 10.0**log_snr
-    opt, lmmse = paper_closed_forms(d, beta_d, snr)
-    cfg = SystemConfig(d, beta_d, snr)
-    for name, fn, ref in (("optimum", capacity_optimum, opt), ("lmmse", capacity_lmmse, lmmse)):
-        err = abs(fn(cfg).spectral_efficiency / ref - 1)
-        assert err < 1e-13, (name, float(err))
+    assert_matches_paper(round(10**log_d), round(10**log_bd), 10.0**log_snr, 1e-13)
 
 
 @pytest.mark.parametrize(
