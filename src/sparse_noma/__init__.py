@@ -16,7 +16,6 @@ from .capacity import (
     capacity_integral_oracle,
     capacity_lmmse,
     capacity_optimum,
-    kernel_F,
     lmmse_error,
 )
 from .errors import ConfigurationError, DomainError, GenerationError, NumericalError

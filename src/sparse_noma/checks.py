@@ -24,12 +24,7 @@ from .asymptotics import (
     low_snr_optimum,
 )
 from .baselines import RatePoint, baseline_rate, solve_rate_at_ebn0, sweep_load, timeshare_envelope
-from .capacity import (
-    capacity_integral_oracle,
-    capacity_lmmse,
-    capacity_optimum,
-    lmmse_error,
-)
+from .capacity import capacity_integral_oracle, capacity_lmmse, capacity_optimum
 from .montecarlo import (
     KS_MIN_RESOURCES,
     KS_THRESHOLD,
@@ -357,13 +352,21 @@ def check_density_inversion() -> tuple[bool, str]:
 
 
 def check_lmmse_identity() -> tuple[bool, str]:
-    """beta * log2(1/m1) equals the LMMSE closed form on the full grid."""
+    """beta * log2(1/m1), m1 from the Stieltjes transform, equals the LMMSE closed form.
+
+    m1 = m_R(-1/snr)/snr for the user-side law m_R, and the user- and
+    resource-side laws differ only by the point mass at zero, so m1 =
+    m_outer(-1/snr)/(beta snr) + 1 - 1/beta: `stieltjes`' support-cut root,
+    not the `_cavity` root that the closed form reads.
+    """
     worst = 0.0
     for d in GRID_D:
         for bd in GRID_BD:
+            p = derive_params(SystemConfig(d, bd))
             for snr in GRID_SNR:
                 cfg = SystemConfig(d, bd, snr)
-                m1 = lmmse_error(cfg).m1
+                m_outer = stieltjes(p, -1.0 / snr).m_outer.real
+                m1 = m_outer / (cfg.beta * snr) + 1.0 - 1.0 / cfg.beta
                 dev = abs(
                     cfg.beta * (-math.log2(m1)) - capacity_lmmse(cfg).spectral_efficiency
                 )

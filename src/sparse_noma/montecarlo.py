@@ -405,7 +405,9 @@ def _mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     eigensolve and pftrf + tftri ran 2% and 7% slower there (medians of 24
     alternating repeats, within the host's spread).  tracemalloc cannot
     see a mapping, so it is registered in numpy's tracemalloc domain for as
-    long as it lives.
+    long as it lives.  That binds PyTraceMalloc_Track through
+    ctypes.pythonapi when this module is imported, so `montecarlo`, and
+    `checks` and the CLI that import it, need CPython.
     """
     dtype = np.dtype(dtype)
     count = math.prod(shape)

@@ -8,7 +8,6 @@ and in the slope normalization of the extreme-SNR approximations.
 import math
 
 LN2 = math.log(2.0)
-LOG2E = 1.0 / LN2
 # One factor of two on a dB axis.
 THREE_DB = 10.0 * math.log10(2.0)
 

@@ -87,6 +87,18 @@ class TestBaselineRate:
                     bar = 1e-12 if snr_db >= -10 else 1e-13 * abs(ref)
                     assert err < bar, (scheme, snr_db, float(err))
 
+    @pytest.mark.parametrize("snr", [1e-160, 1e-200, 1e-300])
+    @pytest.mark.parametrize("beta", [0.5, 2 / 3, 1.0, 2.0, 3.0])
+    def test_rs_cdma_at_tiny_snr(self, beta, snr):
+        # both rates are beta snr log2(e) to first order, with a relative
+        # correction of order snr; nothing may underflow or turn negative
+        lead = beta * snr * math.log2(math.e)
+        opt = baseline_rate("rs_cdma_opt", beta, snr)
+        lin = baseline_rate("rs_cdma_lmmse", beta, snr)
+        assert opt == pytest.approx(lead, rel=1e-12, abs=0.0)
+        assert lin == pytest.approx(lead, rel=1e-12, abs=0.0)
+        assert opt >= lin >= 0.0
+
 
 def paper_closed_forms(d, beta_d, snr):
     """The paper's optimum and LMMSE closed forms in bits, evaluated directly.

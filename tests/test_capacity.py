@@ -1,6 +1,7 @@
-"""Closed-form capacities, the F kernel, and the LMMSE error route."""
+"""Closed-form capacities and the LMMSE error route."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,9 +12,9 @@ from sparse_noma import (
     capacity_integral_oracle,
     capacity_lmmse,
     capacity_optimum,
-    kernel_F,
     lmmse_error,
 )
+from sparse_noma import checks
 from sparse_noma.baselines import baseline_rate
 
 degrees = st.integers(min_value=2, max_value=20)
@@ -22,33 +23,6 @@ snrs = st.floats(min_value=1e-4, max_value=1e4)
 # arcsine-law constants for the contact pair at snr = 10
 OPT_22_10 = math.log2((11.0 + math.sqrt(21.0)) / 2.0)
 LMMSE_22_10 = 0.5 * math.log2(21.0)
-
-
-class TestKernelF:
-    def test_zero_arguments(self):
-        assert kernel_F(0.0, 3.7) == 0.0
-        assert kernel_F(4.2, 0.0) == 0.0
-
-    def test_reference_value(self):
-        assert kernel_F(5.0, 1.0) == pytest.approx(22.0 - 2.0 * math.sqrt(21.0), rel=1e-14)
-
-    def test_matches_radical_definition(self):
-        for x, z in ((0.3, 0.7), (2.0, 1.0), (10.0, 4.0), (1e-6, 2.0)):
-            direct = (
-                math.sqrt(x * (1 + math.sqrt(z)) ** 2 + 1)
-                - math.sqrt(x * (1 - math.sqrt(z)) ** 2 + 1)
-            ) ** 2
-            assert kernel_F(x, z) == pytest.approx(direct, rel=1e-12)
-
-    @given(x=st.floats(min_value=0.0, max_value=1e6), z=st.floats(min_value=0.0, max_value=1e3))
-    def test_nonnegative(self, x, z):
-        assert kernel_F(x, z) >= 0.0
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            kernel_F(-1.0, 1.0)
-        with pytest.raises(DomainError):
-            kernel_F(1.0, -1.0)
 
 
 class TestOptimum:
@@ -162,11 +136,24 @@ class TestLmmseError:
         assert err.sinr > 0.0
 
 
+def test_lmmse_identity_check_catches_a_relative_error_of_1e_minus_8(monkeypatch):
+    # the check's reference m1 comes from the Stieltjes transform, so it sees
+    # a wrong LMMSE form that a comparison with the cavity would not
+    assert checks.check_lmmse_identity()[0]
+
+    def off(cfg):
+        res = capacity_lmmse(cfg)
+        return replace(res, spectral_efficiency=res.spectral_efficiency * (1.0 + 1e-8))
+
+    monkeypatch.setattr(checks, "capacity_lmmse", off)
+    assert not checks.check_lmmse_identity()[0]
+
+
 def test_dense_limit_matches_dense_formulas():
     # at d = 500 both receivers sit on the classical dense expressions
     snr = 10.0
     cfg = SystemConfig(500, 500, snr)
-    f = kernel_F(snr, 1.0)
+    f = (math.sqrt(4.0 * snr + 1.0) - 1.0) ** 2  # F(snr, 1) from its radicals
     dense_lmmse = math.log2(1.0 + snr - f / 4.0)
     assert capacity_lmmse(cfg).spectral_efficiency == pytest.approx(dense_lmmse, abs=1e-2)
     dense_opt = (
@@ -177,20 +164,29 @@ def test_dense_limit_matches_dense_formulas():
     assert capacity_optimum(cfg).spectral_efficiency == pytest.approx(dense_opt, abs=1e-2)
 
 
-def _dense_rho(beta, snr):
-    """rho = snr/(P_u P_r) at the dense (d -> infinity) cavity fixed point."""
+def _first_order_constants(beta, snr):
+    """lim d (C_d - C_VS) in bits for the optimum and the LMMSE receiver.
+
+    (P_u, P_r) is the dense (d -> infinity) cavity fixed point, P_r the
+    positive root of P_r^2 - b P_r - snr = 0.
+    """
     b = 1.0 - (1.0 - beta) * snr
     p_r = (b + math.sqrt(b * b + 4.0 * snr)) / 2.0
     p_u = 1.0 + snr / p_r
-    return snr / (p_u * p_r)
+    # optimum: beta rho^2 / 2 with rho = snr/(P_u P_r), the 2-cycle term that
+    # a dense matrix has and a simple sparse graph does not; LMMSE: the
+    # derivative of beta log1p(snr/P_r) in alpha = 1 - 1/d at alpha = 1
+    opt = beta * (snr / (p_u * p_r)) ** 2 / 2.0
+    lmmse = beta * snr**2 / (p_r * (p_r + snr) * (2.0 * p_r - b))
+    return opt / math.log(2.0), lmmse / math.log(2.0)
 
 
 @pytest.mark.parametrize("beta,snr", ((1, 1.0), (1, 10.0), (2, 10.0), (0.5, 10.0)))
 def test_dense_limit_to_first_order_in_one_over_d(beta, snr):
-    # d (C_opt - C_VS) -> beta rho^2 / (2 ln 2): the 2-cycle term that a dense
-    # matrix has and a simple sparse graph does not
-    const = beta * _dense_rho(beta, snr) ** 2 / (2.0 * math.log(2.0))
-    dense = baseline_rate("rs_cdma_opt", beta, snr)
-    for d in (10**2, 10**3, 10**4, 10**5):
-        gap = capacity_optimum(SystemConfig(d, round(beta * d), snr)).spectral_efficiency - dense
-        assert abs(d * gap - const) <= 0.5 / d, (d, d * (d * gap - const))
+    consts = _first_order_constants(beta, snr)
+    receivers = (("rs_cdma_opt", capacity_optimum), ("rs_cdma_lmmse", capacity_lmmse))
+    for const, (scheme, closed_form) in zip(consts, receivers):
+        dense = baseline_rate(scheme, beta, snr)
+        for d in (10**2, 10**3, 10**4, 10**5):
+            gap = closed_form(SystemConfig(d, round(beta * d), snr)).spectral_efficiency - dense
+            assert abs(d * gap - const) <= 0.5 / d, (scheme, d, d * (d * gap - const))
