@@ -80,8 +80,12 @@ class SweepTable:
 def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     """Dense-baseline spectral efficiency in bits/s/Hz at linear snr.
 
-    Domain beta > 0 and finite snr >= 0, else `DomainError`; every scheme is
-    exactly 0 at snr = 0.  The RS-CDMA rates are Verdu and Shamai's (IEEE
+    Domain beta > 0, snr >= 0 and beta snr <= 1e306, else `DomainError`;
+    every scheme is exactly 0 at snr = 0.  The first term to overflow is
+    beta snr, in Cover-Wyner's log1p(beta snr) and the optimum's
+    log1p(beta snr/P_u), past about 1.8e308; P_r, about (beta - 1) snr,
+    follows and sends the LMMSE rate to 0.  The bound is a contract below
+    both.  The RS-CDMA rates are Verdu and Shamai's (IEEE
     T-IT 1999), read from the `_cavity` fixed point at alpha = 1, the
     d -> infinity limit of the sparse closed forms: beta log1p(snr/P_r) nats
     under LMMSE, plus log1p(beta snr/P_u) - beta snr/(P_u P_r) under optimum
@@ -97,6 +101,8 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
         raise DomainError(f"beta must be positive, got {beta!r}")
     if not math.isfinite(snr) or snr < 0.0:
         raise DomainError(f"snr must be finite and >= 0, got {snr!r}")
+    if beta * snr > 1e306:
+        raise DomainError(f"the baselines support beta * snr <= 1e306, got beta={beta!r}, snr={snr!r}")
 
     if scheme == "cover_wyner":
         return math.log1p(beta * snr) / LN2

@@ -116,13 +116,13 @@ def check_ks_convergence() -> tuple[bool, str]:
     for d, bd in MC_CONFIGS:
         cfg = SystemConfig(d, bd)
         n = feasible_resources(KS_MIN_RESOURCES, d, bd)
-        dists = [
+        draws = [
             ks_draw(n, cfg, np.random.default_rng([40_000 + d * 100 + bd, s]))
             for s in range(10)
         ]
-        med = float(np.median(dists))
+        med = float(np.median([k.distance for k in draws]))
         ok = ok and med < KS_THRESHOLD
-        lines.append(f"({d},{bd}) median KS = {med:.4f} at N={n}")
+        lines.append(f"({d},{bd}) median KS = {med:.4f} at N={draws[0].n_resources}")
     return ok, "; ".join(lines)
 
 

@@ -6,6 +6,9 @@ the load sweep at fixed Eb/N0, `montecarlo` the random-matrix validation
 harness, and `validate` the named invariant suite.
 
 All dB handling lives here; the library works in linear units throughout.
+Each command but `validate` builds its fields and its CSV lines and hands
+both to `_write`, the one place that frames output as schema v1, and
+`_emit` is the one writer to stdout or `--out`.
 Exit codes: 0 success, 1 numerical or validation failure, 2 usage or domain
 error.  Every subcommand is deterministic given its flags and seed.  The
 argument parser is built once per process and reused by every `main` call;
@@ -19,18 +22,17 @@ import functools
 import json
 import sys
 from dataclasses import asdict
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
 from . import __version__
-from .baselines import SweepTable, baseline_rate, sweep_load
+from .baselines import baseline_rate, sweep_load
 from .capacity import capacity_lmmse, capacity_optimum
 from .checks import CHECKS, run_checks
 from .errors import ConfigurationError, DomainError, NumericalError
 from .montecarlo import (
     KS_MIN_RESOURCES,
-    KS_THRESHOLD,
     PHASE_SCHEMES,
     compare_to_closed_form,
     feasible_resources,
@@ -44,6 +46,10 @@ RATE_COLUMNS = ("scheme", "d", "beta_d", "beta", "ebn0_db", "snr", "rate", "rout
 CSV_HEADER = ",".join(RATE_COLUMNS)
 _BLANK_ROW = dict.fromkeys(RATE_COLUMNS)
 _KS_SUBSTREAM = 2**31 - 1  # distinct from any per-trial substream index
+_PARAM_KEYS = (
+    "d", "beta_d", "beta", "alpha", "gamma", "beta_tilde", "zeta",
+    "lambda_minus", "lambda_plus", "support_gap", "point_mass_at_zero",
+)
 
 
 def _fmt(value: Any) -> str:
@@ -55,10 +61,11 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _csv_lines(rows: Iterable[dict], comments: Iterable[str] = ()) -> list[str]:
-    lines = ["# schema=v1", *comments, CSV_HEADER]
-    lines.extend(",".join(_fmt(row[c]) for c in RATE_COLUMNS) for row in rows)
-    return lines
+def _rate_lines(rows: Iterable[dict]) -> Iterator[str]:
+    """The rate table in CSV: its header, then one line per row, made as they are read."""
+    yield CSV_HEADER
+    for row in rows:
+        yield ",".join(_fmt(row[c]) for c in RATE_COLUMNS)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -69,8 +76,17 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text if text.endswith("\n") else text + "\n")
 
 
-def _emit_json(obj: dict, out: str | None) -> None:
-    _emit(json.dumps(obj, indent=2), out)
+def _write(args: argparse.Namespace, fields: dict, csv_lines: Iterable[str]) -> None:
+    """Frame one command's output as schema v1 and emit it.
+
+    JSON is ``{"kind": <command>, "schema": "v1", **fields}``; CSV is the
+    ``# schema=v1`` line followed by ``csv_lines``, which are only read for
+    CSV output.
+    """
+    if args.format == "json":
+        _emit(json.dumps({"kind": args.command, "schema": "v1", **fields}, indent=2), args.out)
+    else:
+        _emit("\n".join(["# schema=v1", *csv_lines]), args.out)
 
 
 def _rate_row(**cells: Any) -> dict:
@@ -78,29 +94,17 @@ def _rate_row(**cells: Any) -> dict:
     return _BLANK_ROW | cells
 
 
+def _verdict_fields(record: Any) -> dict:
+    """A verdict record's fields, with its ``passed`` written as the schema's ``pass``."""
+    fields = asdict(record)
+    fields["pass"] = fields.pop("passed")
+    return fields
+
+
 def cmd_params(args: argparse.Namespace) -> int:
     p = derive_params(SystemConfig(args.d, args.beta_d))
-    payload = {
-        "kind": "params",
-        "schema": "v1",
-        "d": p.d,
-        "beta_d": p.beta_d,
-        "beta": p.beta,
-        "alpha": p.alpha,
-        "gamma": p.gamma,
-        "beta_tilde": p.beta_tilde,
-        "zeta": p.zeta,
-        "lambda_minus": p.lambda_minus,
-        "lambda_plus": p.lambda_plus,
-        "support_gap": p.support_gap,
-        "point_mass_at_zero": p.point_mass_at_zero,
-    }
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    else:
-        lines = ["# schema=v1", "key,value"]
-        lines.extend(f"{k},{_fmt(v)}" for k, v in payload.items() if k not in ("kind", "schema"))
-        _emit("\n".join(lines), args.out)
+    fields = {key: getattr(p, key) for key in _PARAM_KEYS}
+    _write(args, fields, ["key,value", *(f"{k},{_fmt(v)}" for k, v in fields.items())])
     return 0
 
 
@@ -113,28 +117,20 @@ def cmd_density(args: argparse.Namespace) -> int:
     width = p.lambda_plus - p.lambda_minus
     lams = [p.lambda_minus + (j + 0.5) / args.points * width for j in range(args.points)]
     pairs = [(lam, density_at(dens, lam)) for lam in lams]
-    if args.format == "json":
-        _emit_json(
-            {
-                "kind": "density",
-                "schema": "v1",
-                "d": p.d,
-                "beta_d": p.beta_d,
-                "point_mass_at_zero": p.point_mass_at_zero,
-                "lambda_minus": p.lambda_minus,
-                "lambda_plus": p.lambda_plus,
-                "points": [[lam, rho] for lam, rho in pairs],
-            },
-            args.out,
-        )
-    else:
-        lines = [
-            "# schema=v1",
-            f"# point_mass_at_zero={_fmt(p.point_mass_at_zero)}",
-            "lambda,rho",
-        ]
-        lines.extend(f"{_fmt(lam)},{_fmt(rho)}" for lam, rho in pairs)
-        _emit("\n".join(lines), args.out)
+    fields = {
+        "d": p.d,
+        "beta_d": p.beta_d,
+        "point_mass_at_zero": p.point_mass_at_zero,
+        "lambda_minus": p.lambda_minus,
+        "lambda_plus": p.lambda_plus,
+        "points": [[lam, rho] for lam, rho in pairs],
+    }
+    csv_lines = [
+        f"# point_mass_at_zero={_fmt(p.point_mass_at_zero)}",
+        "lambda,rho",
+        *(f"{_fmt(lam)},{_fmt(rho)}" for lam, rho in pairs),
+    ]
+    _write(args, fields, csv_lines)
     return 0
 
 
@@ -156,34 +152,16 @@ def _capacity_rows(cfg: SystemConfig) -> list[dict]:
 def cmd_capacity(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.d, args.beta_d, db_to_linear(args.snr_db))
     rows = _capacity_rows(cfg)
-    if args.format == "json":
-        _emit_json(
-            {
-                "kind": "capacity",
-                "schema": "v1",
-                "d": cfg.d,
-                "beta_d": cfg.beta_d,
-                "beta": cfg.beta,
-                "snr": cfg.snr,
-                "snr_db": args.snr_db,
-                "rows": rows,
-            },
-            args.out,
-        )
-    else:
-        _emit("\n".join(_csv_lines(rows)), args.out)
+    fields = {
+        "d": cfg.d,
+        "beta_d": cfg.beta_d,
+        "beta": cfg.beta,
+        "snr": cfg.snr,
+        "snr_db": args.snr_db,
+        "rows": rows,
+    }
+    _write(args, fields, _rate_lines(rows))
     return 0
-
-
-def _sweep_rows(table: SweepTable) -> list[dict]:
-    ebn0_db = linear_to_db(table.ebn0)
-    return [
-        _rate_row(
-            scheme=p.scheme, d=p.d, beta_d=p.beta_d, beta=p.beta, ebn0_db=ebn0_db,
-            snr=p.snr, rate=p.rate, route=p.route,
-        )
-        for p in table.points
-    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -197,35 +175,31 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = sweep_load(args.d, db_to_linear(args.ebn0_db), grid)
     if args.format == "svg":
         _emit(sweep_svg(table, args.ebn0_db), args.out)
-    elif args.format == "json":
-        _emit_json(
-            {
-                "kind": "sweep",
-                "schema": "v1",
-                "d": args.d,
-                "ebn0_db": args.ebn0_db,
-                "rows": _sweep_rows(table),
-            },
-            args.out,
+        return 0
+    ebn0_db = linear_to_db(table.ebn0)
+    rows = [
+        _rate_row(
+            scheme=p.scheme, d=p.d, beta_d=p.beta_d, beta=p.beta, ebn0_db=ebn0_db,
+            snr=p.snr, rate=p.rate, route=p.route,
         )
-    else:
-        _emit("\n".join(_csv_lines(_sweep_rows(table))), args.out)
+        for p in table.points
+    ]
+    _write(args, {"d": args.d, "ebn0_db": args.ebn0_db, "rows": rows}, _rate_lines(rows))
     return 0
 
 
 def cmd_montecarlo(args: argparse.Namespace) -> int:
     cfg = SystemConfig(args.d, args.beta_d, db_to_linear(args.snr_db))
-    receivers: dict[str, dict] = {}
     chosen = {"opt": ("optimum",), "lmmse": ("lmmse",), "both": ("optimum", "lmmse")}
-    for receiver in chosen[args.receiver]:
-        row = asdict(
+    receivers = {
+        receiver: _verdict_fields(
             compare_to_closed_form(
                 receiver, cfg, n_resources=args.n, trials=args.trials,
                 seed=args.seed, phase_scheme=args.phase_scheme,
             )
         )
-        row["pass"] = row.pop("passed")
-        receivers[receiver] = row
+        for receiver in chosen[args.receiver]
+    }
 
     ks: dict | None = None
     if not args.no_ks:
@@ -233,19 +207,10 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
             args.n if args.n is not None else KS_MIN_RESOURCES, cfg.d, cfg.beta_d
         )
         rng = np.random.default_rng([args.seed, _KS_SUBSTREAM])
-        dist = ks_draw(n_ks, cfg, rng, args.phase_scheme)
-        threshold = KS_THRESHOLD if n_ks >= KS_MIN_RESOURCES else None
-        ks = {
-            "n_resources": n_ks,
-            "distance": dist,
-            "threshold": threshold,
-            "pass": None if threshold is None else bool(dist < threshold),
-        }
+        ks = _verdict_fields(ks_draw(n_ks, cfg, rng, args.phase_scheme))
 
     ok = all(r["pass"] for r in receivers.values()) and (ks is None or ks["pass"] is not False)
-    payload = {
-        "kind": "montecarlo",
-        "schema": "v1",
+    fields = {
         "d": cfg.d,
         "beta_d": cfg.beta_d,
         "beta": cfg.beta,
@@ -257,29 +222,24 @@ def cmd_montecarlo(args: argparse.Namespace) -> int:
         "ks": ks,
         "pass": ok,
     }
-    if args.format == "json":
-        _emit_json(payload, args.out)
-    else:
-        scheme_of = {"optimum": "sparse_opt", "lmmse": "sparse_lmmse"}
-        cells = dict(d=cfg.d, beta_d=cfg.beta_d, beta=cfg.beta, snr=cfg.snr)
-        rows = []
-        for name, r in receivers.items():
-            rows.append(
-                _rate_row(scheme=scheme_of[name], rate=r["closed_form"], route="closed_form", **cells)
+    scheme_of = {"optimum": "sparse_opt", "lmmse": "sparse_lmmse"}
+    cells = dict(d=cfg.d, beta_d=cfg.beta_d, beta=cfg.beta, snr=cfg.snr)
+    rows = []
+    for name, r in receivers.items():
+        rows.append(
+            _rate_row(scheme=scheme_of[name], rate=r["closed_form"], route="closed_form", **cells)
+        )
+        rows.append(
+            _rate_row(
+                scheme=scheme_of[name], rate=r["estimate"], route="monte_carlo",
+                stderr=r["stderr"], **cells,
             )
-            rows.append(
-                _rate_row(
-                    scheme=scheme_of[name], rate=r["estimate"], route="monte_carlo",
-                    stderr=r["stderr"], **cells,
-                )
-            )
-        comments = []
-        if ks is not None:
-            comments.append(
-                f"# ks_distance={_fmt(ks['distance'])} n_resources={ks['n_resources']}"
-                f" threshold={_fmt(ks['threshold'])} pass={ks['pass']}"
-            )
-        _emit("\n".join(_csv_lines(rows, comments)), args.out)
+        )
+    ks_line = [] if ks is None else [
+        f"# ks_distance={_fmt(ks['distance'])} n_resources={ks['n_resources']}"
+        f" threshold={_fmt(ks['threshold'])} pass={ks['pass']}"
+    ]
+    _write(args, fields, [*ks_line, *_rate_lines(rows)])
     return 0 if ok else 1
 
 

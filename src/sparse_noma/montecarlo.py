@@ -21,14 +21,10 @@ capacity estimates factor I + snr R in LAPACK's rectangular full packed
 for complex weights instead of 16 m^2, and still runs level-3 BLAS: the
 log-determinant from the Cholesky diagonal (pftrf), the MMSE diagonal from
 the inverted factor (tftri) or the inverse (pftri).  The dense copy and the
-RFP array each live in an anonymous mapping of their own (_mapped_zeros),
-advised for huge pages and unmapped when freed.  From malloc they would stay
-in the process: freeing a mapped block of up to 32 MiB raises glibc's
-dynamic mmap threshold (M_MMAP_THRESHOLD, mallopt(3)) to its size, so the
-next copy comes from the heap and stays resident, and a run of trials
-peaked at the copies kept plus the largest one rather than at the largest
-one alone.  LAPACKE routines that scipy does not wrap are bound through
-ctypes in one place (_lapacke).
+RFP array each live in an anonymous mapping of their own, advised for huge
+pages and unmapped when freed; _mapped_zeros gives the reason.  LAPACKE
+routines that scipy does not wrap are bound through ctypes in one place
+(_lapacke).
 scipy.sparse is imported only by the public to_sparse, which no route here
 calls, and the LAPACK routes import scipy.linalg on first use; importing
 this module, the CLI's closed-form commands and `validate --quick` load
@@ -82,6 +78,7 @@ __all__ = [
     "compare_to_closed_form",
     "ks_distance",
     "ks_draw",
+    "KsAgreement",
     "KS_THRESHOLD",
     "KS_MIN_RESOURCES",
 ]
@@ -153,12 +150,6 @@ class SignatureMatrix:
         modulus = np.abs(self.weights)
         if not max(np.max(modulus) - 1.0, 1.0 - np.min(modulus)) <= 1e-12:
             raise GenerationError("nonzeros are not unit modulus")
-
-
-def _as_rng(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _repeated_users(blocks: np.ndarray) -> np.ndarray:
@@ -241,7 +232,7 @@ def generate_signature(
             f"need n_resources > d and n_users > beta_d, got n={n}, k={k}"
         )
 
-    rng = _as_rng(seed)
+    rng = np.random.default_rng(seed)  # a Generator is returned as it is
     n_edges = k * d
     index = np.int32 if n_edges < 2**31 else np.int64
     for matchings in range(1, 26):
@@ -393,12 +384,12 @@ def _mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     """A zeroed Fortran-ordered array in an anonymous private mapping of its own, unmapped when the array is freed.
 
     The dense copy and the RFP array are the Monte Carlo routes' largest
-    allocations.  From malloc, glibc would map each on its own, but freeing
-    a mapped block of up to 32 MiB raises its dynamic mmap threshold
+    allocations.  glibc's malloc maps a block that large on its own, but
+    freeing a mapped block of up to 32 MiB raises the dynamic mmap threshold
     (M_MMAP_THRESHOLD, mallopt(3)) to the block's size and the trim
-    threshold to twice that, so the next copy of that size comes from the
+    threshold to twice that, so the next block of that size comes from the
     brk heap and stays resident once freed: a run of trials would peak at
-    the copies glibc kept plus the largest one.  A mapping of its own
+    the blocks glibc kept plus the largest one.  A mapping of its own
     returns to the system with the last view of the array.  It is advised
     MADV_HUGEPAGE, as numpy advises its own large arrays: on 4 KiB pages
     the dense copy's untouched upper triangle would stay unbacked, but the
@@ -450,10 +441,7 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     on the diagonal, are scattered straight into a zeroed RFP array, which
     LAPACK pftrf factors in place: m(m+1)/2 entries, 8 m(m+1) bytes for
     complex weights and half that for real ones, where a full m x m copy
-    would take 16 m^2.  The array has a mapping of its own (_mapped_zeros),
-    so freeing it lowers the resident set; from malloc, glibc's dynamic
-    M_MMAP_THRESHOLD would keep it in the heap for the next trial's smaller
-    arrays.
+    would take 16 m^2.  The array has a mapping of its own (_mapped_zeros).
     """
     import scipy.linalg as sla
 
@@ -539,10 +527,7 @@ def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float)
     G is given by its lower triangle as triplets (i, j, v), i >= j, the form
     _gram_lower returns; both drivers read only that triangle, so the upper
     one of the dense copy stays zero.  The copy, 16 m^2 bytes for complex
-    weights, has a mapping of its own (_mapped_zeros) and leaves the process
-    when freed: from malloc, glibc's dynamic M_MMAP_THRESHOLD kept a freed
-    copy of up to 32 MiB in the heap, so the next spectrum's copy was added
-    to it rather than put in its place.
+    weights, has a mapping of its own (_mapped_zeros).
     """
     # the driver reads a as float64 or complex128 in column-major order
     a = _mapped_zeros((m, m), complex if np.iscomplexobj(v) else float)
@@ -661,14 +646,12 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     (1/L) sum_k 1/(1 + (snr/d) mu_k) over the cycle's Gram eigenvalues mu_k.
     Otherwise M = I + (snr/d) G on the smaller Gram side is factored in RFP
     (see _cholesky: 8 m(m+1) bytes for complex weights, where a dense copy
-    takes 16 m^2, in a mapping of its own that is returned to the system
-    when freed, not kept in the heap by glibc's M_MMAP_THRESHOLD) and no
-    m x m array is formed.  When K <= N
-    the factor is inverted in place (LAPACK tftri) and user k's MMSE is
-    |column k of L^{-1}|^2, re^2 + im^2 summed in panels of at most 64 RFP
-    columns, whose temporaries stay near 1 MB at m = 2000;
-    where LAPACKE lacks tftri, the diagonal of M^{-1} from pftri is read
-    instead.  When K > N, pftri gives M^{-1} in RFP and user k's MMSE is
+    takes 16 m^2, in a mapping of its own from _mapped_zeros) and no m x m
+    array is formed.  When K <= N the factor is inverted in place (LAPACK
+    tftri) and user k's MMSE is |column k of L^{-1}|^2, re^2 + im^2 summed
+    in panels of at most 64 RFP columns, whose temporaries stay near 1 MB at
+    m = 2000; where LAPACKE lacks tftri, the diagonal of M^{-1} from pftri
+    is read instead.  When K > N, pftri gives M^{-1} in RFP and user k's MMSE is
     1 - (snr/d) a_k^H M^{-1} a_k, gathered from the d(d+1)/2 entries that
     user k's resources pick out.
     """
@@ -841,15 +824,30 @@ def ks_distance(spectrum: EmpiricalSpectrum, density: SpectralDensity) -> float:
     )
 
 
+@dataclass(frozen=True)
+class KsAgreement:
+    """One signature's spectrum against the limiting law.
+
+    threshold is KS_THRESHOLD and passed is distance < threshold once
+    n_resources >= KS_MIN_RESOURCES; below that scale the distance is
+    informational and both are None.
+    """
+
+    n_resources: int
+    distance: float
+    threshold: float | None
+    passed: bool | None
+
+
 def ks_draw(
     n_resources: int,
     config: SystemConfig,
     rng: np.random.Generator,
     phase_scheme: str = "uniform",
-) -> float:
-    """KS distance to the limiting law of one signature drawn from rng.
-
-    Compared against KS_THRESHOLD once n_resources >= KS_MIN_RESOURCES.
-    """
+) -> KsAgreement:
+    """KS distance to the limiting law of one signature drawn from rng, with its verdict."""
     sig = generate_signature(n_resources, config.d, config.beta_d, phase_scheme, rng)
-    return ks_distance(empirical_spectrum(sig), spectral_density(config))
+    distance = ks_distance(empirical_spectrum(sig), spectral_density(config))
+    if sig.n_resources < KS_MIN_RESOURCES:
+        return KsAgreement(sig.n_resources, distance, None, None)
+    return KsAgreement(sig.n_resources, distance, KS_THRESHOLD, distance < KS_THRESHOLD)

@@ -90,6 +90,9 @@ class DerivedParams:
     alpha = (d-1)/d, gamma = (beta_d-1)/d, beta_tilde = alpha/gamma,
     zeta = beta_d/gamma; the continuous support is [lambda_minus,
     lambda_plus] = [(sqrt(alpha)-sqrt(gamma))^2, (sqrt(alpha)+sqrt(gamma))^2].
+    zeta >= (1 + sqrt(beta_tilde))^2 holds for every degree pair: with
+    P = (d-1)(beta_d-1), zeta - 1 - beta_tilde = (P + 1)/(beta_d - 1) and
+    (zeta - 1 - beta_tilde)^2 - 4 beta_tilde = ((P - 1)/(beta_d - 1))^2.
     support_gap is beta_d - lambda_plus, computed in a cancellation-free
     form; it vanishes exactly when (d-1)(beta_d-1) = 1, the arcsine case.
     """
@@ -128,15 +131,6 @@ def _derive_params_cached(d: int, beta_d: int) -> DerivedParams:
     gamma = Fraction(beta_d - 1, d)
     beta_tilde = alpha / gamma
     zeta = Fraction(beta_d) / gamma
-
-    # zeta >= (1 + sqrt(beta_tilde))^2 must hold on the admissible lattice;
-    # checked in exact rational arithmetic before any float is produced.
-    excess = zeta - 1 - beta_tilde
-    if excess < 0 or excess * excess < 4 * beta_tilde:
-        raise ConfigurationError(
-            f"derived constants violate zeta >= (1 + sqrt(beta_tilde))^2 "
-            f"for d={d}, beta_d={beta_d}"
-        )
 
     prod = (d - 1) * (beta_d - 1)
     root = math.sqrt(prod)

@@ -56,6 +56,16 @@ class TestBaselineRate:
         for scheme in DENSE:
             assert baseline_rate(scheme, 0.7, 0.0) == 0.0
 
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, 30.0, 1e6])
+    def test_domain_bound_on_beta_snr(self, beta):
+        # past the bound the rates overflowed to inf, nan or 0.0 instead of raising
+        schemes = DENSE + ("orthogonal",) * (beta <= 1.0)
+        for scheme in schemes:
+            assert 0.0 < baseline_rate(scheme, beta, 0.999e306 / beta) < math.inf
+            for snr in (1.001e306 / beta, 1e307, 1e308):
+                with pytest.raises(DomainError, match="beta \\* snr <= 1e306"):
+                    baseline_rate(scheme, beta, snr)
+
     def test_unknown_scheme(self):
         with pytest.raises(DomainError, match="unknown"):
             baseline_rate("sparse_opt", 1.0, 10.0)

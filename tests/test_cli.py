@@ -231,6 +231,34 @@ class TestMonteCarlo:
         assert code == (0 if payload["pass"] else 1)
 
 
+FRAMED = [
+    (("params", "--d", "3", "--beta-d", "2"), ("json", "csv")),
+    (("density", "--d", "3", "--beta-d", "2", "--points", "5"), ("csv", "json")),
+    (("capacity", "--d", "3", "--beta-d", "6", "--snr-db", "10"), ("csv", "json")),
+    (("sweep", "--d", "2", "--ebn0-db", "10", "--beta-min", "1", "--beta-max", "3",
+      "--beta-steps", "5"), ("csv", "json", "svg")),
+    (("montecarlo", "--d", "3", "--beta-d", "2", "--snr-db", "10", "--n", "120",
+      "--trials", "2"), ("json", "csv")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,fmt", [(argv, fmt) for argv, formats in FRAMED for fmt in formats],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_output_framing(capsys, tmp_path, argv, fmt):
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    target = tmp_path / "out"
+    assert run(capsys, *argv, "--format", fmt, "--out", str(target)) == (code, "", err)
+    assert target.read_bytes() == out.encode()
+    if fmt == "json":
+        payload = json.loads(out)
+        assert list(payload)[:2] == ["kind", "schema"]
+        assert (payload["kind"], payload["schema"]) == (argv[0], "v1")
+    elif fmt == "csv":
+        assert out.startswith("# schema=v1\n")
+
+
 class TestValidate:
     def test_single_check(self, capsys):
         code, out, _ = run(capsys, "validate", "--check", "rate_solver")
