@@ -4,9 +4,10 @@ Baseline spectral efficiencies are functions of (beta, snr) only:
 Cover-Wyner sum capacity, orthogonal transmission (beta <= 1), and
 random-spreading dense CDMA under optimum and LMMSE decoding.  The sparse
 closed forms live in `capacity` and exist only on the integer lattice
-beta*d in {2, 3, ...}.  A load sweep solves every scheme at a common
-Eb/N0 via the fixed point R = C(R * ebn0 / beta) and adds the time-sharing
-(upper concave) envelope over the sparse lattice points.
+beta*d in {2, 3, ...}; `_rate_fn` alone maps a scheme name to its rate.  A
+load sweep solves every scheme at a common Eb/N0 via the fixed point
+R = C(R * ebn0 / beta) and adds the time-sharing (upper concave) envelope
+over the sparse lattice points.
 """
 
 from __future__ import annotations
@@ -40,9 +41,11 @@ SCHEMES = (
     "timeshare_envelope",
 )
 
-_DENSE_SCHEMES = ("cover_wyner", "orthogonal", "rs_cdma_opt", "rs_cdma_lmmse")
+_SPARSE_SCHEMES = SCHEMES[:2]
+_DENSE_SCHEMES = SCHEMES[2:6]
+_DENSE_OVERLOADED = tuple(s for s in _DENSE_SCHEMES if s != "orthogonal")
 
-_RATE_RESIDUAL_TOL = 1e-10
+_RATE_RESIDUAL_TOL = 1e-10  # bits up to 100 bits, relative to rate/100 above
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     if scheme == "cover_wyner":
         return math.log1p(beta * snr) / LN2
     if scheme == "orthogonal":
-        if beta > 1.0:
+        if scheme not in _dense_schemes(beta):
             raise DomainError(f"orthogonal transmission requires beta <= 1, got {beta!r}")
         return beta * math.log1p(snr) / LN2
     if scheme in ("rs_cdma_opt", "rs_cdma_lmmse"):
@@ -117,6 +120,23 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
             nats += math.log1p(beta * snr / p_u) - beta * snr / (p_u * p_r)
         return nats / LN2
     raise DomainError(f"unknown baseline scheme {scheme!r}; pick from {_DENSE_SCHEMES}")
+
+
+def _dense_schemes(beta: float) -> tuple[str, ...]:
+    """The dense schemes at load beta, in `SCHEMES` order: orthogonal only up to beta = 1."""
+    return _DENSE_SCHEMES if beta <= 1.0 else _DENSE_OVERLOADED
+
+
+def _rate_fn(scheme: str, beta: float, cfg: SystemConfig | None = None) -> Callable[[float], float]:
+    """Bits/s/Hz against linear snr of one named scheme at load beta.
+
+    Sparse schemes read the degree pair of cfg, and cfg itself at its snr, so
+    a caller holding a config builds no other; dense ones read beta alone.
+    """
+    if scheme in _SPARSE_SCHEMES:
+        capacity = capacity_optimum if scheme == "sparse_opt" else capacity_lmmse
+        return lambda snr: capacity(cfg if snr == cfg.snr else cfg.with_snr(snr)).spectral_efficiency
+    return lambda snr: baseline_rate(scheme, beta, snr)
 
 
 def solve_rate_at_ebn0(
@@ -138,7 +158,9 @@ def solve_rate_at_ebn0(
     at hi - lo <= 1e-12 * max(1, lo), lo taken after bracketing: regula falsi
     steps clipped so no width exceeds bisection's one step earlier, hence at
     most one evaluation more than bisection to that width (about 16, not 45,
-    on the sweep lattice).  It returns the midpoint.
+    on the sweep lattice).  It returns the midpoint, within 0.5e-12 * max(1,
+    lo) of the root, and raises `NumericalError` if the residual there passes
+    1e-10 * max(1, rate/100) bits, at least twice that.
     """
     beta = float(beta)
     ebn0 = float(ebn0)
@@ -191,9 +213,10 @@ def solve_rate_at_ebn0(
         bound *= 0.5
     rate = 0.5 * (lo + hi)
     snr = rate * ebn0 / beta
-    if abs(rate - rate_fn(snr)) > _RATE_RESIDUAL_TOL:
+    tol = _RATE_RESIDUAL_TOL * max(1.0, rate / 100.0)
+    if abs(rate - rate_fn(snr)) > tol:
         raise NumericalError(
-            f"fixed-point residual above {_RATE_RESIDUAL_TOL:g} for scheme={scheme!r}, "
+            f"fixed-point residual above {tol:g} for scheme={scheme!r}, "
             f"beta={beta!r}, ebn0={ebn0!r}"
         )
     return RatePoint(scheme=scheme, beta=beta, rate=rate, ebn0=ebn0, snr=snr, d=d, beta_d=beta_d,
@@ -262,12 +285,6 @@ def timeshare_envelope(points: Sequence[RatePoint]) -> SweepTable:
     return SweepTable(points=env, ebn0=ebn0, d=d)
 
 
-def _sparse_rate_fn(d: int, beta_d: int, receiver: str) -> Callable[[float], float]:
-    cfg = SystemConfig(d, beta_d)
-    cap = capacity_optimum if receiver == "optimum" else capacity_lmmse
-    return lambda snr: cap(cfg.with_snr(snr)).spectral_efficiency
-
-
 def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
     """Solve all schemes over a load grid at fixed Eb/N0 (linear).
 
@@ -292,26 +309,25 @@ def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
             f"for d={d} over loads [{lo!r}, {hi!r}]"
         )
 
-    points: list[RatePoint] = []
-    sparse: dict[str, list[RatePoint]] = {"sparse_opt": [], "sparse_lmmse": []}
-    for bd in range(bd_lo, bd_hi + 1):
-        beta = bd / d
-        for scheme, receiver in (("sparse_opt", "optimum"), ("sparse_lmmse", "lmmse")):
-            pt = solve_rate_at_ebn0(
-                _sparse_rate_fn(d, bd, receiver), beta, ebn0,
-                scheme=scheme, d=d, beta_d=bd,
-            )
-            sparse[scheme].append(pt)
-            points.append(pt)
+    lattice = [SystemConfig(d, bd) for bd in range(bd_lo, bd_hi + 1)]
+    operating = [(s, cfg.beta, cfg) for cfg in lattice for s in _SPARSE_SCHEMES]
+    operating += [(s, beta, None) for beta in betas for s in _dense_schemes(beta)]
+    points = [
+        solve_rate_at_ebn0(
+            _rate_fn(s, beta, cfg), beta, ebn0, scheme=s,
+            d=cfg and cfg.d, beta_d=cfg and cfg.beta_d,
+        )
+        for s, beta, cfg in operating
+    ]
 
     degenerate = False
-    for scheme, pts in sparse.items():
-        env = timeshare_envelope(pts)
+    for scheme in _SPARSE_SCHEMES:
+        env = timeshare_envelope([p for p in points if p.scheme == scheme])
         degenerate = degenerate or env.degenerate
         if env.degenerate:
             continue
         hull = [(p.beta, p.rate) for p in env.points]
-        env_betas = sorted({p.beta for p in pts} | {b for b in betas if hull[0][0] <= b <= hull[-1][0]})
+        env_betas = sorted({c.beta for c in lattice} | {b for b in betas if hull[0][0] <= b <= hull[-1][0]})
         points.extend(
             RatePoint(
                 scheme="timeshare_envelope", beta=b, rate=_interp_hull(hull, b),
@@ -319,17 +335,6 @@ def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
             )
             for b in env_betas
         )
-
-    for scheme in _DENSE_SCHEMES:
-        for beta in betas:
-            if scheme == "orthogonal" and beta > 1.0:
-                continue
-            points.append(
-                solve_rate_at_ebn0(
-                    lambda snr, s=scheme, b=beta: baseline_rate(s, b, snr),
-                    beta, ebn0, scheme=scheme,
-                )
-            )
 
     order = {s: i for i, s in enumerate(SCHEMES)}
     points.sort(key=lambda p: (order[p.scheme], p.route, p.beta))

@@ -92,6 +92,10 @@ def capacity_optimum(config: SystemConfig) -> CapacityResult:
     relative of the paper's formula in mpmath from snr = 1e-12 to 1e150 for
     d, beta_d from 2 to 2e5, and within 1e-13 over random d, beta_d in
     [2, 1e5] and snr in [1e-12, 1e12] (worst seen 6.7e-16).
+
+    Sparse beats dense to first order in 1/d: at fixed beta and snr,
+    d (C_d - C_VS) -> beta rho^2/(2 ln 2) > 0 bits, C_VS the Verdu-Shamai
+    rate and rho = snr/(P_u P_r) at alpha = 1.
     """
     _check_snr(config)
     p_u, p_r = _cavity((config.d - 1) / config.d, config.beta, config.snr)
@@ -123,6 +127,10 @@ def capacity_lmmse(config: SystemConfig) -> CapacityResult:
     relative of the paper's formula in mpmath from snr = 1e-12 to 1e150 for
     d, beta_d from 2 to 2e5, and within 1e-13 over random d, beta_d in
     [2, 1e5] and snr in [1e-12, 1e12] (worst seen 4.4e-16 on both).
+
+    Sparse beats dense to first order in 1/d: d (C_d - C_VS) -> beta snr^2/
+    (P_r (P_r + snr)(2 P_r - b) ln 2) > 0 bits, C_VS the Verdu-Shamai LMMSE
+    rate, b = 1 - (1 - beta) snr, P_r at alpha = 1 and 2 P_r - b > 0.
     """
     _check_snr(config)
     p_r = _cavity((config.d - 1) / config.d, config.beta, config.snr)[1]

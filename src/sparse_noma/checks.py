@@ -23,7 +23,7 @@ from .asymptotics import (
     low_snr_lmmse,
     low_snr_optimum,
 )
-from .baselines import RatePoint, baseline_rate, solve_rate_at_ebn0, sweep_load, timeshare_envelope
+from .baselines import RatePoint, _dense_schemes, _rate_fn, solve_rate_at_ebn0, sweep_load, timeshare_envelope
 from .capacity import capacity_integral_oracle, capacity_lmmse, capacity_optimum
 from .montecarlo import (
     KS_MIN_RESOURCES,
@@ -208,13 +208,9 @@ def check_dense_limit() -> tuple[bool, str]:
     """d = 500 matches RS-CDMA within 1e-2; strict superiority; monotone in d."""
     worst = 0.0
     for b, bd in ((0.5, 250), (1.0, 500), (2.0, 1000)):
-        for snr in GRID_SNR:
-            cfg = SystemConfig(500, bd, snr)
-            worst = max(
-                worst,
-                abs(capacity_optimum(cfg).spectral_efficiency - baseline_rate("rs_cdma_opt", b, snr)),
-                abs(capacity_lmmse(cfg).spectral_efficiency - baseline_rate("rs_cdma_lmmse", b, snr)),
-            )
+        for sparse, dense in (("sparse_opt", "rs_cdma_opt"), ("sparse_lmmse", "rs_cdma_lmmse")):
+            sparse_rate, dense_rate = _rate_fn(sparse, b, SystemConfig(500, bd)), _rate_fn(dense, b)
+            worst = max(worst, *(abs(sparse_rate(snr) - dense_rate(snr)) for snr in GRID_SNR))
     dense_ok = worst < 1e-2
 
     superior = True
@@ -222,14 +218,8 @@ def check_dense_limit() -> tuple[bool, str]:
     for d in FIG1_D:
         for bd in range(2, 3 * d + 1):
             beta = bd / d
-            sparse = solve_rate_at_ebn0(
-                lambda snr, c=SystemConfig(d, bd): capacity_optimum(c.with_snr(snr)).spectral_efficiency,
-                beta, ebn0, scheme="sparse_opt", d=d, beta_d=bd,
-            ).rate
-            dense = solve_rate_at_ebn0(
-                lambda snr, b=beta: baseline_rate("rs_cdma_opt", b, snr), beta, ebn0,
-                scheme="rs_cdma_opt",
-            ).rate
+            sparse = solve_rate_at_ebn0(_rate_fn("sparse_opt", beta, SystemConfig(d, bd)), beta, ebn0).rate
+            dense = solve_rate_at_ebn0(_rate_fn("rs_cdma_opt", beta), beta, ebn0).rate
             superior = superior and sparse > dense
 
     monotone = True
@@ -245,14 +235,6 @@ def check_dense_limit() -> tuple[bool, str]:
         f"d=500 max dev = {worst:.2e}; lattice superiority = {superior}; "
         f"monotone in d = {monotone}"
     )
-
-
-def _recompute_rate(p: RatePoint) -> float:
-    if p.scheme == "sparse_opt":
-        return capacity_optimum(SystemConfig(p.d, p.beta_d, p.snr)).spectral_efficiency
-    if p.scheme == "sparse_lmmse":
-        return capacity_lmmse(SystemConfig(p.d, p.beta_d, p.snr)).spectral_efficiency
-    return baseline_rate(p.scheme, p.beta, p.snr)
 
 
 def check_load_sweep() -> tuple[bool, str]:
@@ -278,7 +260,8 @@ def check_load_sweep() -> tuple[bool, str]:
             # solved operating points satisfy both defining identities
             if abs(p.beta * p.snr - p.rate * p.ebn0) > 1e-9 * max(1.0, p.rate * p.ebn0):
                 problems.append(f"power identity off at {p.scheme} beta={p.beta:.3f} d={d}")
-            if abs(p.rate - _recompute_rate(p)) > 1e-9:
+            cfg = None if p.d is None else SystemConfig(p.d, p.beta_d)
+            if abs(p.rate - _rate_fn(p.scheme, p.beta, cfg)(p.snr)) > 1e-9:
                 problems.append(f"fixed-point residual off at {p.scheme} beta={p.beta:.3f} d={d}")
 
         for beta, sp in by_scheme.get("sparse_opt", {}).items():
@@ -290,7 +273,7 @@ def check_load_sweep() -> tuple[bool, str]:
                 problems.append(f"optimum ordering broken at d={d} beta={beta:.3f}")
             if not (sp.rate > lm > rs_lm):
                 problems.append(f"lmmse ordering broken at d={d} beta={beta:.3f}")
-            if beta <= 1.0 and by_scheme["orthogonal"][beta].rate < sp.rate:
+            if "orthogonal" in _dense_schemes(beta) and by_scheme["orthogonal"][beta].rate < sp.rate:
                 problems.append(f"orthogonal below sparse at d={d} beta={beta:.3f}")
 
         for route in ("sparse_opt", "sparse_lmmse"):
@@ -391,18 +374,14 @@ def check_rate_solver() -> tuple[bool, str]:
     """Fixed-point solver basics: constants, thresholds, power identity."""
     pt = solve_rate_at_ebn0(lambda snr: 1.75, 1.0, 2.0)
     ok = abs(pt.rate - 1.75) < 1e-9 and not pt.below_threshold
-    below = solve_rate_at_ebn0(
-        lambda snr: baseline_rate("cover_wyner", 1.0, snr), 1.0, math.log(2.0)
-    )
+    below = solve_rate_at_ebn0(_rate_fn("cover_wyner", 1.0), 1.0, math.log(2.0))
     ok = ok and below.rate == 0.0 and below.below_threshold
     for scheme in ("cover_wyner", "rs_cdma_opt", "rs_cdma_lmmse"):
         for beta in (0.5, 1.0, 2.5):
-            p = solve_rate_at_ebn0(
-                lambda snr, s=scheme, b=beta: baseline_rate(s, b, snr), beta, 10.0,
-                scheme=scheme,
-            )
+            rate = _rate_fn(scheme, beta)
+            p = solve_rate_at_ebn0(rate, beta, 10.0, scheme=scheme)
             ok = ok and abs(p.beta * p.snr - p.rate * p.ebn0) < 1e-9
-            ok = ok and abs(p.rate - baseline_rate(scheme, beta, p.snr)) < 1e-10
+            ok = ok and abs(p.rate - rate(p.snr)) < 1e-10
     env = timeshare_envelope(
         [
             RatePoint("sparse_opt", b, r, 10.0, 1.0, d=3)

@@ -10,9 +10,10 @@ Each command but `validate` builds its fields and its CSV lines and hands
 both to `_write`, the one place that frames output as schema v1, and
 `_emit` is the one writer to stdout or `--out`.
 Exit codes: 0 success, 1 numerical or validation failure, 2 usage or domain
-error.  Every subcommand is deterministic given its flags and seed.  The
-argument parser is built once per process and reused by every `main` call;
-parsing keeps no state between calls.
+error; a dB flag above about 3082.5 dB, whose linear value passes the
+largest float, is a domain error.  Every subcommand is deterministic given
+its flags and seed.  The argument parser is built once per process and
+reused by every `main` call; parsing keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .baselines import baseline_rate, sweep_load
-from .capacity import capacity_lmmse, capacity_optimum
+from .baselines import _SPARSE_SCHEMES, _dense_schemes, _rate_fn, sweep_load
 from .checks import CHECKS, run_checks
 from .errors import ConfigurationError, DomainError, NumericalError
 from .montecarlo import (
@@ -135,17 +135,14 @@ def cmd_density(args: argparse.Namespace) -> int:
 
 
 def _capacity_rows(cfg: SystemConfig) -> list[dict]:
-    beta = cfg.beta
-    sparse = dict(d=cfg.d, beta_d=cfg.beta_d, beta=beta, snr=cfg.snr, route="closed_form")
-    rows = [
-        _rate_row(scheme="sparse_opt", rate=capacity_optimum(cfg).spectral_efficiency, **sparse),
-        _rate_row(scheme="sparse_lmmse", rate=capacity_lmmse(cfg).spectral_efficiency, **sparse),
-    ]
-    for scheme in ("rs_cdma_opt", "rs_cdma_lmmse", "orthogonal", "cover_wyner"):
-        if scheme == "orthogonal" and beta > 1.0:
-            continue
-        rate = baseline_rate(scheme, beta, cfg.snr)
-        rows.append(_rate_row(scheme=scheme, beta=beta, snr=cfg.snr, rate=rate, route="closed_form"))
+    beta, snr = cfg.beta, cfg.snr
+    dense = _rate_row(beta=beta, snr=snr, route="closed_form")
+    sparse = dense | {"d": cfg.d, "beta_d": cfg.beta_d}
+    rows = []
+    for scheme in _SPARSE_SCHEMES:
+        rows.append(sparse | {"scheme": scheme, "rate": _rate_fn(scheme, beta, cfg)(snr)})
+    for scheme in _dense_schemes(beta):
+        rows.append(dense | {"scheme": scheme, "rate": _rate_fn(scheme, beta)(snr)})
     return rows
 
 

@@ -7,13 +7,19 @@ and in the slope normalization of the extreme-SNR approximations.
 
 import math
 
+from .errors import DomainError
+
 LN2 = math.log(2.0)
 # One factor of two on a dB axis.
 THREE_DB = 10.0 * math.log10(2.0)
 
 
 def db_to_linear(x_db: float) -> float:
-    return 10.0 ** (x_db / 10.0)
+    """10^(x_db/10), for x_db up to about 3082.5 dB (the largest float); `DomainError` above."""
+    try:
+        return 10.0 ** (x_db / 10.0)
+    except OverflowError:
+        raise DomainError(f"{x_db!r} dB is past the largest float in linear units") from None
 
 
 def linear_to_db(x: float) -> float:

@@ -9,13 +9,17 @@ from hypothesis import given, settings, strategies as st
 from sparse_noma import (
     ConfigurationError,
     DomainError,
+    NumericalError,
     SystemConfig,
     capacity_lmmse,
     capacity_optimum,
     lmmse_error,
 )
 from sparse_noma.baselines import (
+    SCHEMES,
     RatePoint,
+    _dense_schemes,
+    _rate_fn,
     baseline_rate,
     solve_rate_at_ebn0,
     sweep_load,
@@ -231,6 +235,28 @@ class TestRateSolver:
         assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
+class TestRateSolverLargeRates:
+    """The residual bar follows the bracket's relative width above 100 bits."""
+
+    @pytest.mark.parametrize("ebn0_db", [1520, 1530, 1770, 1780, 1800])
+    def test_rs_cdma_opt_solves_past_500_bits(self, ebn0_db):
+        rate = _rate_fn("rs_cdma_opt", 1.0)
+        pt = solve_rate_at_ebn0(rate, 1.0, 10.0 ** (ebn0_db / 10.0), scheme="rs_cdma_opt")
+        assert 500.0 < pt.rate < 610.0
+        assert abs(pt.rate - rate(pt.snr)) <= 1e-12 * pt.rate
+
+    @pytest.mark.parametrize("root,jump", [(50.0, 3e-10), (1000.0, 2e-9)])
+    def test_residual_bar_is_not_loose(self, root, jump):
+        # R - f jumps from -jump to +jump at the root: the bracket closes on
+        # it, but no midpoint gets within 1e-10 max(1, R/100) of a fixed point
+        def rate(snr):
+            tried = snr / 10.0  # the rate that gives this snr at beta = 1, Eb/N0 = 10
+            return root + jump if tried < root else root - jump
+
+        with pytest.raises(NumericalError, match="fixed-point residual"):
+            solve_rate_at_ebn0(rate, 1.0, 10.0)
+
+
 def _cover_wyner_fixed_point(ebn0):
     """Positive root of R = log2(1 + R ebn0) by the Lambert W function, 30 digits.
 
@@ -418,3 +444,40 @@ class TestSweepLoad:
         for b, r in gen.items():
             if b in env:
                 assert env[b] >= r - 1e-9
+
+
+# loads 2/3, 1, 1, 7/6 and 2; orthogonal is left out above beta = 1
+RATE_CASES = [
+    (scheme, d, beta_d)
+    for scheme in SCHEMES if scheme != "timeshare_envelope"
+    for d, beta_d in ((3, 2), (2, 2), (3, 3), (6, 7), (3, 6))
+    if scheme != "orthogonal" or beta_d <= d
+]
+
+
+class TestRateFn:
+    """`_rate_fn` returns exactly the closed form each scheme name stands for."""
+
+    @pytest.mark.parametrize("scheme,d,beta_d", RATE_CASES)
+    def test_matches_the_closed_form(self, scheme, d, beta_d):
+        cfg = SystemConfig(d, beta_d)
+        beta = cfg.beta
+        for snr in (0.0, 1e-3, 1.0, 10.0, 1e6):
+            at = cfg.with_snr(snr)
+            if scheme == "sparse_opt":
+                expected = capacity_optimum(at).spectral_efficiency
+            elif scheme == "sparse_lmmse":
+                expected = capacity_lmmse(at).spectral_efficiency
+            else:
+                expected = baseline_rate(scheme, beta, snr)
+            assert _rate_fn(scheme, beta, cfg)(snr) == expected
+            assert _rate_fn(scheme, beta, at)(snr) == expected
+
+    def test_orthogonal_only_up_to_full_load(self):
+        assert _dense_schemes(1.0) == ("rs_cdma_opt", "rs_cdma_lmmse", "orthogonal", "cover_wyner")
+        assert _dense_schemes(2 / 3) == _dense_schemes(1.0)
+        assert _dense_schemes(7 / 6) == ("rs_cdma_opt", "rs_cdma_lmmse", "cover_wyner")
+        with pytest.raises(DomainError, match="beta <= 1"):
+            _rate_fn("orthogonal", 7 / 6)(10.0)
+        table = sweep_load(3, 10.0, [2 / 3, 1.0, 7 / 6, 2.0])
+        assert {p.beta for p in table.points if p.scheme == "orthogonal"} == {2 / 3, 1.0}

@@ -170,6 +170,13 @@ class TestSweep:
         assert code == 0, err
         assert "sparse_opt" in out
 
+    def test_rates_past_500_bits_solve(self, capsys):
+        code, out, err = run(capsys, "sweep", "--d", "3", "--ebn0-db", "1520",
+                             "--beta-min", "1", "--beta-max", "1", "--beta-steps", "1")
+        assert (code, err) == (0, "")
+        rates = {r["scheme"]: float(r["rate"]) for r in parse_csv_rows(out)}
+        assert 500.0 < rates["sparse_opt"] < 600.0
+
 
 class TestMonteCarlo:
     ARGS = ("montecarlo", "--d", "2", "--beta-d", "2", "--snr-db", "10",
@@ -257,6 +264,18 @@ def test_output_framing(capsys, tmp_path, argv, fmt):
         assert (payload["kind"], payload["schema"]) == (argv[0], "v1")
     elif fmt == "csv":
         assert out.startswith("# schema=v1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("capacity", "--d", "3", "--beta-d", "2", "--snr-db", "4000"),
+    ("sweep", "--d", "3", "--ebn0-db", "4000", "--beta-min", "1", "--beta-max", "2"),
+    ("montecarlo", "--d", "3", "--beta-d", "2", "--snr-db", "4000", "--n", "120", "--trials", "2"),
+], ids=lambda argv: argv[0])
+def test_db_past_the_largest_float_is_a_domain_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "4000.0 dB" in err
+    assert "Traceback" not in err
 
 
 class TestValidate:
@@ -380,6 +399,7 @@ class TestUnits:
         assert linear_to_db(db_to_linear(db)) == pytest.approx(db, abs=1e-12)
 
     def test_reference_points(self):
+        assert db_to_linear(3082.0) == pytest.approx(10.0**308.2, rel=1e-13)
         assert db_to_linear(0.0) == 1.0
         assert db_to_linear(10.0) == pytest.approx(10.0, rel=1e-15)
         assert linear_to_db(100.0) == pytest.approx(20.0, rel=1e-15)
