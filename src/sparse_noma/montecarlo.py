@@ -21,8 +21,9 @@ capacity estimates factor I + snr R in LAPACK's rectangular full packed
 for complex weights instead of 16 m^2, and still runs level-3 BLAS: the
 log-determinant from the Cholesky diagonal (pftrf), the MMSE diagonal from
 the inverted factor (tftri) or the inverse (pftri).  The dense copy and the
-RFP array each live in an anonymous mapping of their own, advised for huge
-pages and unmapped when freed; _mapped_zeros gives the reason.  LAPACKE
+RFP array each live in an anonymous mapping of their own, unmapped when
+freed, the copy on base pages and the RFP array on huge pages;
+_mapped_zeros gives the reasons.  LAPACKE
 routines that scipy does not wrap are bound through ctypes in one place
 (_lapacke).
 scipy.sparse is imported only by the public to_sparse, which no route here
@@ -380,7 +381,7 @@ _TRACE_UNTRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)
     ("PyTraceMalloc_Untrack", ctypes.pythonapi))
 
 
-def _mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
+def _mapped_zeros(shape: tuple[int, ...], dtype, huge_pages: bool = False) -> np.ndarray:
     """A zeroed Fortran-ordered array in an anonymous private mapping of its own, unmapped when the array is freed.
 
     The dense copy and the RFP array are the Monte Carlo routes' largest
@@ -390,11 +391,13 @@ def _mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     threshold to twice that, so the next block of that size comes from the
     brk heap and stays resident once freed: a run of trials would peak at
     the blocks glibc kept plus the largest one.  A mapping of its own
-    returns to the system with the last view of the array.  It is advised
-    MADV_HUGEPAGE, as numpy advises its own large arrays: on 4 KiB pages
-    the dense copy's untouched upper triangle would stay unbacked, but the
-    eigensolve and pftrf + tftri ran 2% and 7% slower there (medians of 24
-    alternating repeats, within the host's spread).  tracemalloc cannot
+    returns to the system with the last view of the array.  On base pages
+    only the pages a routine touches become resident, so the dense copy's
+    upper triangle, which neither eigen driver reads, stays unbacked, where
+    2 MiB pages would back it with the lower one.  pftrf writes the RFP
+    array whole, so huge_pages advises it MADV_HUGEPAGE, as numpy advises
+    its own large arrays: that costs no memory, and on base pages the
+    benchmark's capacity trials ran 5-11% slower.  tracemalloc cannot
     see a mapping, so it is registered in numpy's tracemalloc domain for as
     long as it lives.  That binds PyTraceMalloc_Track through
     ctypes.pythonapi when this module is imported, so `montecarlo`, and
@@ -404,7 +407,7 @@ def _mapped_zeros(shape: tuple[int, ...], dtype) -> np.ndarray:
     count = math.prod(shape)
     flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}  # anonymous on every platform
     buf = mmap.mmap(-1, count * dtype.itemsize, **flags)
-    if hasattr(mmap, "MADV_HUGEPAGE"):
+    if huge_pages and hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
     a = np.frombuffer(buf, dtype=dtype, count=count).reshape(shape, order="F")
     _TRACE_TRACK(np.lib.tracemalloc_domain, a.ctypes.data, len(buf))
@@ -441,7 +444,8 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     on the diagonal, are scattered straight into a zeroed RFP array, which
     LAPACK pftrf factors in place: m(m+1)/2 entries, 8 m(m+1) bytes for
     complex weights and half that for real ones, where a full m x m copy
-    would take 16 m^2.  The array has a mapping of its own (_mapped_zeros).
+    would take 16 m^2.  The array has a mapping of its own on huge pages
+    (_mapped_zeros).
     """
     import scipy.linalg as sla
 
@@ -450,7 +454,7 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     v *= snr / sig.d
     v[i == j] += 1.0
     pos, conj = _rfp_positions(m, i, j)
-    arf = _mapped_zeros((m * (m + 1) // 2,), v.dtype)
+    arf = _mapped_zeros((m * (m + 1) // 2,), v.dtype, huge_pages=True)
     arf[pos] = np.where(conj, v.conj(), v)
     pftrf = sla.get_lapack_funcs("pftrf", (arf,))
     arf, info = pftrf(m, arf, transr="N", uplo="L", overwrite_a=True)
@@ -527,7 +531,9 @@ def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float)
     G is given by its lower triangle as triplets (i, j, v), i >= j, the form
     _gram_lower returns; both drivers read only that triangle, so the upper
     one of the dense copy stays zero.  The copy, 16 m^2 bytes for complex
-    weights, has a mapping of its own (_mapped_zeros).
+    weights, has a mapping of its own on base pages (_mapped_zeros), so
+    only the pages the lower triangle spans become resident: 62% of the
+    copy at m = 2000 with complex weights.
     """
     # the driver reads a as float64 or complex128 in column-major order
     a = _mapped_zeros((m, m), complex if np.iscomplexobj(v) else float)

@@ -51,6 +51,13 @@ def _require_degree(name: str, value) -> int:
     return int(value)
 
 
+def _require_snr(value) -> float:
+    snr = float(value)
+    if not math.isfinite(snr) or snr < 0.0:
+        raise ConfigurationError(f"snr must be finite and >= 0, got {value!r}")
+    return snr
+
+
 @dataclass(frozen=True)
 class SystemConfig:
     """Regular ensemble parameters: column degree d, row degree beta_d, SNR.
@@ -66,10 +73,7 @@ class SystemConfig:
     def __post_init__(self):
         object.__setattr__(self, "d", _require_degree("d", self.d))
         object.__setattr__(self, "beta_d", _require_degree("beta_d", self.beta_d))
-        snr = float(self.snr)
-        if not math.isfinite(snr) or snr < 0.0:
-            raise ConfigurationError(f"snr must be finite and >= 0, got {self.snr!r}")
-        object.__setattr__(self, "snr", snr)
+        object.__setattr__(self, "snr", _require_snr(self.snr))
 
     @property
     def beta_exact(self) -> Fraction:
@@ -80,7 +84,14 @@ class SystemConfig:
         return self.beta_d / self.d
 
     def with_snr(self, snr: float) -> "SystemConfig":
-        return SystemConfig(self.d, self.beta_d, snr)
+        """The same degree pair at another snr; only the snr is checked, the degrees already were.
+
+        A load sweep calls this on every rate evaluation, where the
+        constructor's degree checks would take about half the time.
+        """
+        cfg = object.__new__(SystemConfig)
+        vars(cfg).update(d=self.d, beta_d=self.beta_d, snr=_require_snr(snr))
+        return cfg
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,10 @@
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from sparse_noma import (
     DomainError,
@@ -16,6 +18,7 @@ from sparse_noma import (
 )
 from sparse_noma import checks
 from sparse_noma.baselines import baseline_rate
+from sparse_noma.checks import GRID_BD, GRID_D, GRID_SNR
 
 degrees = st.integers(min_value=2, max_value=20)
 snrs = st.floats(min_value=1e-4, max_value=1e4)
@@ -190,3 +193,58 @@ def test_dense_limit_to_first_order_in_one_over_d(beta, snr):
         for d in (10**2, 10**3, 10**4, 10**5):
             gap = closed_form(SystemConfig(d, round(beta * d), snr)).spectral_efficiency - dense
             assert abs(d * gap - const) <= 0.5 / d, (scheme, d, d * (d * gap - const))
+
+
+def mp_p_r(alpha, beta, s):
+    """The resource precision in mpmath: the positive root of P_r^2 - b P_r - alpha s = 0, b = 1 - (1 - beta) s."""
+    b = 1 - (1 - beta) * s
+    r = mp.sqrt(b * b + 4 * alpha * s)
+    return (b + r) / 2 if b >= 0 else 2 * alpha * s / (r - b)
+
+
+def mp_bethe(d, beta, s):
+    """The optimum rate in nats as the Bethe free energy at the cavity fixed point; d None is the dense limit."""
+    alpha = 1 - mp.mpf(1) / d if d else mp.mpf(1)
+    p_r = mp_p_r(alpha, beta, s)
+    p_u = 1 + alpha * s / p_r
+    loss = beta * d * mp.log1p(s / d / (p_u * p_r)) if d else beta * s / (p_u * p_r)
+    return beta * mp.log1p(s / p_r) + mp.log1p(beta * s / p_u) - loss
+
+
+class TestImmse:
+    """dC/dsnr = beta/(snr + P_r) nats, the I-MMSE relation (Guo, Shamai & Verdu, IEEE T-IT 2005).
+
+    The Bethe free energy is stationary in (P_u, P_r) at the fixed point, so
+    only its explicit snr dependence survives in the derivative.
+    """
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["sparse", "dense"])
+    @pytest.mark.parametrize("d,bd", ((2, 2), (3, 2), (3, 6), (10, 10), (1000, 1000), (10**5, 2 * 10**5), (2, 10**5)))
+    def test_derivative_in_mpmath(self, dense, d, bd):
+        # at 40 + |log10 snr| digits the worst deviation seen was 2.3e-41
+        worst, worst_at = 0.0, None
+        for e in range(-12, 13):
+            with mp.workdps(40 + abs(e)):
+                s, beta = mp.mpf(10) ** e, mp.mpf(bd) / d
+                alpha = mp.mpf(1) if dense else 1 - mp.mpf(1) / d
+                want = beta / (s + mp_p_r(alpha, beta, s))
+                got = mp.diff(lambda t: mp_bethe(None if dense else d, beta, t), s)
+                dev = abs(got / want - 1)
+            if dev > worst:
+                worst, worst_at = dev, e
+        assert worst <= 1e-38, f"worst relative deviation {mp.nstr(worst, 3)} at snr 1e{worst_at}"
+
+    def test_integral_gives_the_optimum_on_criterion_1_grid(self):
+        # a third route to the optimum, apart from the Bethe form and the spectral oracle;
+        # worst seen 5.6e-16 relative, at (3, 10, 0.1)
+        worst, worst_at = 0.0, None
+        for d in GRID_D:
+            for bd in GRID_BD:
+                alpha, beta = (d - 1) / d, bd / d
+                for snr in GRID_SNR:
+                    nats = quad(lambda t: beta / (t + float(mp_p_r(alpha, beta, t))), 0.0, snr, epsabs=0.0, epsrel=1e-13)[0]
+                    want = capacity_optimum(SystemConfig(d, bd, snr)).spectral_efficiency
+                    dev = abs(nats / math.log(2.0) / want - 1.0)
+                    if dev > worst:
+                        worst, worst_at = dev, (d, bd, snr)
+        assert worst <= 1e-12, f"worst relative deviation {worst:.2e} at (d, beta_d, snr) = {worst_at}"

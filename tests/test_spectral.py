@@ -72,6 +72,19 @@ class TestSystemConfig:
         cfg = SystemConfig(3, 2).with_snr(7.5)
         assert cfg.snr == 7.5 and cfg.d == 3
 
+    @pytest.mark.parametrize("snr", [0, 0.0, 7, 7.5, np.float64(1e-12), np.float32(3.25), 1e306])
+    def test_with_snr_equals_the_constructor(self, snr):
+        base = SystemConfig(10, 7, 2.0)
+        got, want = base.with_snr(snr), SystemConfig(10, 7, snr)
+        assert type(got) is SystemConfig and type(got.snr) is float
+        assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+        assert base.snr == 2.0
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, -1.0, -1e-300, np.float64(math.nan)])
+    def test_with_snr_rejects_bad_snr(self, snr):
+        with pytest.raises(ConfigurationError, match="snr must be finite and >= 0"):
+            SystemConfig(3, 2).with_snr(snr)
+
 
 class TestDerivedParams:
     def test_contact_pair(self):
