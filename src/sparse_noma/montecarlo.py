@@ -22,14 +22,15 @@ for complex weights instead of 16 m^2, and still runs level-3 BLAS: the
 log-determinant from the Cholesky diagonal (pftrf), the MMSE diagonal from
 the inverted factor (tftri) or the inverse (pftri).  The dense copy and the
 RFP array each live in an anonymous mapping of their own, unmapped when
-freed, the copy on base pages and the RFP array on huge pages;
-_mapped_zeros gives the reasons.  LAPACKE
-routines that scipy does not wrap are bound through ctypes in one place
-(_lapacke).
-scipy.sparse is imported only by the public to_sparse, which no route here
-calls, and the LAPACK routes import scipy.linalg on first use; importing
-this module, the CLI's closed-form commands and `validate --quick` load
-numpy only.
+freed, the copy on base pages with each column's lower part ending on a
+page boundary and the RFP array on huge pages; _mapped_zeros and _eigvalsh
+give the reasons.  Every LAPACK routine is called through its LAPACKE
+entry point, bound with ctypes in one place (_lapacke) from the LAPACK
+library scipy links, which is opened by path: no route imports the
+scipy.linalg package unless LAPACKE lacks pftrf or pftri, where
+scipy.linalg's wrappers run them.  scipy.sparse is imported only by
+the public to_sparse, which no route here calls; importing this module, the
+CLI's closed-form commands and `validate --quick` load numpy only.
 
 At d = beta_d = 2 the graph is a disjoint union of cycles, and on a cycle of
 L users with flux phi the Gram's eigenvalues are 2 + 2 cos((phi + 2 pi k)/L)
@@ -50,9 +51,11 @@ import ctypes
 import functools
 import math
 import mmap
+import os
 import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -394,7 +397,9 @@ def _mapped_zeros(shape: tuple[int, ...], dtype, huge_pages: bool = False) -> np
     returns to the system with the last view of the array.  On base pages
     only the pages a routine touches become resident, so the dense copy's
     upper triangle, which neither eigen driver reads, stays unbacked, where
-    2 MiB pages would back it with the lower one.  pftrf writes the RFP
+    2 MiB pages would back it with the lower one; _eigvalsh asks for a flat
+    array and places the copy in it so that no column's lower part ends
+    mid-page.  pftrf writes the RFP
     array whole, so huge_pages advises it MADV_HUGEPAGE, as numpy advises
     its own large arrays: that costs no memory, and on base pages the
     benchmark's capacity trials ran 5-11% slower.  tracemalloc cannot
@@ -445,10 +450,9 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     LAPACK pftrf factors in place: m(m+1)/2 entries, 8 m(m+1) bytes for
     complex weights and half that for real ones, where a full m x m copy
     would take 16 m^2.  The array has a mapping of its own on huge pages
-    (_mapped_zeros).
+    (_mapped_zeros).  pftrf is called through LAPACKE (_rfp_lapack), so
+    scipy.linalg is not imported.
     """
-    import scipy.linalg as sla
-
     i, j, v, user_side = _gram_lower(sig)
     m = sig.n_users if user_side else sig.n_resources
     v *= snr / sig.d
@@ -456,10 +460,9 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     pos, conj = _rfp_positions(m, i, j)
     arf = _mapped_zeros((m * (m + 1) // 2,), v.dtype, huge_pages=True)
     arf[pos] = np.where(conj, v.conj(), v)
-    pftrf = sla.get_lapack_funcs("pftrf", (arf,))
-    arf, info = pftrf(m, arf, transr="N", uplo="L", overwrite_a=True)
+    arf, name, info = _rfp_lapack("pftrf", arf, m)
     if info != 0:
-        raise NumericalError(f"Cholesky factorization of I + snr R failed (pftrf info {info})")
+        raise NumericalError(f"Cholesky factorization of I + snr R failed ({name} info {info})")
     return arf, user_side
 
 
@@ -505,17 +508,42 @@ def _lapacke(name: str, args: str):
     """LAPACKE_<name> as a ctypes function returning int, or None if absent.
 
     ``args`` spells the argument types, one letter each: i int, c char, p
-    pointer.  Bound on first call from the LP64 LAPACK scipy links; dlsym
-    also searches its dependencies.
+    pointer.  Bound on first call from the LP64 LAPACK scipy links, through
+    the extension library of scipy.linalg.cython_lapack, which is opened by
+    its path and never imported: importing the scipy.linalg package would
+    load about 8 MB of modules and libraries that no route here uses, where
+    the library alone costs about 2 MB.  dlsym also searches its
+    dependencies.  None when scipy has no such library.
     """
-    from scipy.linalg import cython_lapack
+    import scipy
 
-    lib = ctypes.CDLL(cython_lapack.__file__)
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "cython_lapack")
+    path = next((stem + ext for ext in EXTENSION_SUFFIXES if os.path.exists(stem + ext)), None)
+    if path is None:
+        return None
+    lib = ctypes.CDLL(path)
     fn = getattr(lib, "scipy_LAPACKE_" + name, None) or getattr(lib, "LAPACKE_" + name, None)
     if fn is not None:
         fn.argtypes = [_C_ARGS[t] for t in args]
         fn.restype = ctypes.c_int
     return fn
+
+
+def _rfp_lapack(routine: str, arf: np.ndarray, m: int) -> tuple[np.ndarray, str, int]:
+    """LAPACK's pftrf or pftri on the m x m lower RFP array arf (TRANSR='N', UPLO='L'), in place: (arf, name, info).
+
+    The call goes through LAPACKE (_lapacke).  Where LAPACKE lacks the
+    routine, scipy.linalg's f2py wrapper runs it, which is the only place
+    the Monte Carlo routes import scipy.linalg; it may return a copy.
+    """
+    name = ("z" if np.iscomplexobj(arf) else "d") + routine
+    fn = _lapacke(name, "iccip")  # (layout, transr, uplo, n, a)
+    if fn is not None:
+        return arf, name, fn(102, b"N", b"L", m, arf.ctypes.data)  # column major, overwrites arf
+    import scipy.linalg as sla
+
+    arf, info = sla.get_lapack_funcs(routine, (arf,))(m, arf, transr="N", uplo="L", overwrite_a=True)
+    return arf, name, info
 
 
 def _two_stage_driver(complex_: bool):
@@ -532,19 +560,27 @@ def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float)
     _gram_lower returns; both drivers read only that triangle, so the upper
     one of the dense copy stays zero.  The copy, 16 m^2 bytes for complex
     weights, has a mapping of its own on base pages (_mapped_zeros), so
-    only the pages the lower triangle spans become resident: 62% of the
-    copy at m = 2000 with complex weights.
+    only the pages the lower triangle spans become resident.  Its leading
+    dimension is m rounded up to a whole page of elements (256 complex or
+    512 real values on 4 KiB pages) and it starts lda - m elements into the
+    mapping, so every column's lower part ends on a page boundary and only
+    its first page is partly outside the triangle: at m = 2000 with complex
+    weights 34.5 MiB of pages become resident for a 30.5 MiB triangle, where
+    lda = m touched 37.6 MiB.  The eigenvalues do not depend on lda.
     """
     # the driver reads a as float64 or complex128 in column-major order
-    a = _mapped_zeros((m, m), complex if np.iscomplexobj(v) else float)
+    dtype = np.dtype(complex if np.iscomplexobj(v) else float)
+    pad = -m % (mmap.PAGESIZE // dtype.itemsize)
+    lda = m + pad
+    a = _mapped_zeros((pad + lda * m,), dtype)[pad:].reshape((lda, m), order="F")[:m]
     # by the reciprocal, as scipy.sparse scales: at exactly degenerate eigenvalues a last-digit
     # change of an entry can move a KS distance by about 1e-8
     a[i, j] = v * (1.0 / scale)
     name, fn = _two_stage_driver(np.iscomplexobj(a)) or ("eigvalsh", None)
     if fn is None:
         return np.linalg.eigvalsh(a), name
-    w = np.empty(a.shape[0])  # column major (102), eigenvalues only, lower triangle; overwrites a
-    info = fn(102, b"N", b"L", a.shape[0], a.ctypes.data, max(1, a.shape[0]), w.ctypes.data)
+    w = np.empty(m)  # column major (102), eigenvalues only, lower triangle; overwrites a
+    info = fn(102, b"N", b"L", m, a.ctypes.data, lda, w.ctypes.data)
     if info != 0:
         raise NumericalError(f"eigensolve failed ({name} info {info})")
     return w, name
@@ -671,8 +707,6 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
         lengths = np.diff(starts, append=k)
         diag[users] = np.repeat(np.add.reduceat(1.0 / (1.0 + c * mu), starts) / lengths, lengths)
     else:
-        import scipy.linalg as sla
-
         arf, user_side = _cholesky(sig, snr)
         m = k if user_side else sig.n_resources
         kind = "z" if np.iscomplexobj(arf) else "d"
@@ -694,10 +728,9 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
                 sq[:n2] -= upper  # exact: leaves zeros where the trailing triangle was
                 diag[start : start + sq.shape[1]] = sq.sum(axis=0)  # stops at n1
         else:
-            pftri = sla.get_lapack_funcs("pftri", (arf,))
-            inv, info = pftri(m, arf, transr="N", uplo="L", overwrite_a=True)
+            inv, name, info = _rfp_lapack("pftri", arf, m)
             if info != 0:
-                raise NumericalError(f"inverting I + snr R failed (pftri info {info})")
+                raise NumericalError(f"inverting I + snr R failed ({name} info {info})")
             if user_side:
                 diag[:] = _rfp_diagonal(inv, m)
             else:
