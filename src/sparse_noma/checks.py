@@ -25,6 +25,7 @@ from .asymptotics import (
 )
 from .baselines import RatePoint, _dense_schemes, _rate_fn, solve_rate_at_ebn0, sweep_load, timeshare_envelope
 from .capacity import capacity_integral_oracle, capacity_lmmse, capacity_optimum
+from .errors import ConfigurationError
 from .montecarlo import (
     KS_MIN_RESOURCES,
     KS_THRESHOLD,
@@ -433,6 +434,11 @@ CHECKS: tuple[tuple[str, Callable[[], tuple[bool, str]], bool], ...] = (
 
 
 def run_checks(quick: bool = False, names: tuple[str, ...] | None = None) -> list[CheckResult]:
+    """Run the named checks (all when names is None) in CHECKS order; raise ConfigurationError for an unknown name."""
+    known = {name for name, _, _ in CHECKS}
+    unknown = sorted(set(names or ()) - known)
+    if unknown:
+        raise ConfigurationError(f"unknown check name(s) {unknown}; available: {sorted(known)}")
     results = []
     for name, fn, slow in CHECKS:
         if names is not None and name not in names:

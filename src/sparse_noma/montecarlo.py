@@ -20,17 +20,19 @@ capacity estimates factor I + snr R in LAPACK's rectangular full packed
 (RFP) format, which keeps only the m(m+1)/2 lower entries, 8 m(m+1) bytes
 for complex weights instead of 16 m^2, and still runs level-3 BLAS: the
 log-determinant from the Cholesky diagonal (pftrf), the MMSE diagonal from
-the inverted factor (tftri) or the inverse (pftri).  The dense copy and the
-RFP array each live in an anonymous mapping of their own, unmapped when
-freed, the copy on base pages with each column's lower part ending on a
-page boundary and the RFP array on huge pages; _mapped_zeros and _eigvalsh
-give the reasons.  Every LAPACK routine is called through its LAPACKE
-entry point, bound with ctypes in one place (_lapacke) from the LAPACK
-library scipy links, which is opened by path: no route imports the
-scipy.linalg package unless LAPACKE lacks pftrf or pftri, where
-scipy.linalg's wrappers run them.  scipy.sparse is imported only by
-the public to_sparse, which no route here calls; importing this module, the
-CLI's closed-form commands and `validate --quick` load numpy only.
+the inverted factor (tftri) or the inverse (pftri).  Single RFP entries are
+read through _rfp_entries; the tftri route sums squared moduli of whole
+columns, which need no conjugation.  The dense copy and the RFP array each
+live in an anonymous mapping of their own, unmapped when freed, the copy on
+base pages with each column's lower part ending on a page boundary and the
+RFP array on huge pages; _mapped_zeros and _eigvalsh give the reasons.
+Every LAPACK routine is called through its LAPACKE entry point, bound with
+ctypes in one place (_lapacke) from the LAPACK library scipy links, which is
+opened by path: no route imports the scipy.linalg package unless LAPACKE
+lacks pftrf or pftri, where scipy.linalg's wrappers run them.  scipy.sparse
+is imported only by the public to_sparse, which no route here calls;
+importing this module, the CLI's closed-form commands and `validate --quick`
+load numpy only.
 
 At d = beta_d = 2 the graph is a disjoint union of cycles, and on a cycle of
 L users with flux phi the Gram's eigenvalues are 2 + 2 cos((phi + 2 pi k)/L)
@@ -52,7 +54,6 @@ import functools
 import math
 import mmap
 import os
-import weakref
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -378,14 +379,8 @@ def _frobenius_sq(i: np.ndarray, j: np.ndarray, v: np.ndarray) -> float:
     return float(2.0 * sq.sum() - sq[i == j].sum())
 
 
-_TRACE_TRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t, ctypes.c_size_t)(
-    ("PyTraceMalloc_Track", ctypes.pythonapi))
-_TRACE_UNTRACK = ctypes.PYFUNCTYPE(ctypes.c_int, ctypes.c_uint, ctypes.c_size_t)(
-    ("PyTraceMalloc_Untrack", ctypes.pythonapi))
-
-
-def _mapped_zeros(shape: tuple[int, ...], dtype, huge_pages: bool = False) -> np.ndarray:
-    """A zeroed Fortran-ordered array in an anonymous private mapping of its own, unmapped when the array is freed.
+def _mapped_zeros(count: int, dtype, huge_pages: bool = False) -> np.ndarray:
+    """count zeros, flat, in an anonymous private mapping of their own, unmapped when the array is freed.
 
     The dense copy and the RFP array are the Monte Carlo routes' largest
     allocations.  glibc's malloc maps a block that large on its own, but
@@ -397,27 +392,18 @@ def _mapped_zeros(shape: tuple[int, ...], dtype, huge_pages: bool = False) -> np
     returns to the system with the last view of the array.  On base pages
     only the pages a routine touches become resident, so the dense copy's
     upper triangle, which neither eigen driver reads, stays unbacked, where
-    2 MiB pages would back it with the lower one; _eigvalsh asks for a flat
-    array and places the copy in it so that no column's lower part ends
-    mid-page.  pftrf writes the RFP
-    array whole, so huge_pages advises it MADV_HUGEPAGE, as numpy advises
-    its own large arrays: that costs no memory, and on base pages the
-    benchmark's capacity trials ran 5-11% slower.  tracemalloc cannot
-    see a mapping, so it is registered in numpy's tracemalloc domain for as
-    long as it lives.  That binds PyTraceMalloc_Track through
-    ctypes.pythonapi when this module is imported, so `montecarlo`, and
-    `checks` and the CLI that import it, need CPython.
+    2 MiB pages would back it with the lower one; _eigvalsh places the copy
+    in the flat array so that no column's lower part ends mid-page.  pftrf
+    writes the RFP array whole, so huge_pages advises it MADV_HUGEPAGE, as
+    numpy advises its own large arrays: that costs no memory, and on base
+    pages the benchmark's capacity trials ran 5-11% slower.
     """
     dtype = np.dtype(dtype)
-    count = math.prod(shape)
     flags = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}  # anonymous on every platform
     buf = mmap.mmap(-1, count * dtype.itemsize, **flags)
     if huge_pages and hasattr(mmap, "MADV_HUGEPAGE"):
         buf.madvise(mmap.MADV_HUGEPAGE)
-    a = np.frombuffer(buf, dtype=dtype, count=count).reshape(shape, order="F")
-    _TRACE_TRACK(np.lib.tracemalloc_domain, a.ctypes.data, len(buf))
-    weakref.finalize(buf, _TRACE_UNTRACK, np.lib.tracemalloc_domain, a.ctypes.data)
-    return a
+    return np.frombuffer(buf, dtype=dtype)
 
 
 def _rfp_positions(n: int, i, j) -> tuple[np.ndarray, np.ndarray]:
@@ -436,10 +422,15 @@ def _rfp_positions(n: int, i, j) -> tuple[np.ndarray, np.ndarray]:
     return np.where(conj, (j - n1) + (i - n1 + 1 - s) * (n + s), (i + s) + j * (n + s)), conj
 
 
-def _rfp_diagonal(arf: np.ndarray, n: int) -> np.ndarray:
-    """The real diagonal of an n x n Hermitian (or triangular) matrix held in RFP."""
-    idx = np.arange(n)
-    return arf[_rfp_positions(n, idx, idx)[0]].real
+def _rfp_entries(arf: np.ndarray, n: int, i, j) -> np.ndarray:
+    """Entries (i, j), above or below the diagonal, of the n x n Hermitian matrix whose lower triangle arf holds in RFP.
+
+    The stored entry (max(i, j), min(i, j)) is conjugated when exactly one
+    of the RFP layout and i < j flips it.  A triangular factor's diagonal
+    reads the same way.
+    """
+    pos, conj = _rfp_positions(n, np.maximum(i, j), np.minimum(i, j))
+    return np.where(conj ^ (i < j), np.conj(arf[pos]), arf[pos])
 
 
 def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
@@ -451,14 +442,15 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     complex weights and half that for real ones, where a full m x m copy
     would take 16 m^2.  The array has a mapping of its own on huge pages
     (_mapped_zeros).  pftrf is called through LAPACKE (_rfp_lapack), so
-    scipy.linalg is not imported.
+    scipy.linalg is not imported.  Callers read the factor's diagonal
+    through _rfp_entries.
     """
     i, j, v, user_side = _gram_lower(sig)
     m = sig.n_users if user_side else sig.n_resources
     v *= snr / sig.d
     v[i == j] += 1.0
     pos, conj = _rfp_positions(m, i, j)
-    arf = _mapped_zeros((m * (m + 1) // 2,), v.dtype, huge_pages=True)
+    arf = _mapped_zeros(m * (m + 1) // 2, v.dtype, huge_pages=True)
     arf[pos] = np.where(conj, v.conj(), v)
     arf, name, info = _rfp_lapack("pftrf", arf, m)
     if info != 0:
@@ -572,7 +564,7 @@ def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float)
     dtype = np.dtype(complex if np.iscomplexobj(v) else float)
     pad = -m % (mmap.PAGESIZE // dtype.itemsize)
     lda = m + pad
-    a = _mapped_zeros((pad + lda * m,), dtype)[pad:].reshape((lda, m), order="F")[:m]
+    a = _mapped_zeros(pad + lda * m, dtype)[pad:].reshape((lda, m), order="F")[:m]
     # by the reciprocal, as scipy.sparse scales: at exactly degenerate eigenvalues a last-digit
     # change of an entry can move a KS distance by about 1e-8
     a[i, j] = v * (1.0 / scale)
@@ -673,7 +665,8 @@ def empirical_capacity_opt(
         if config.d == config.beta_d == 2:
             logdet = float(np.log1p(c * _cycles(sig)[2]).sum())
         else:
-            low = _rfp_diagonal(_cholesky(sig, config.snr)[0], min(sig.n_users, sig.n_resources))
+            i = np.arange(min(sig.n_users, sig.n_resources))
+            low = _rfp_entries(_cholesky(sig, config.snr)[0], len(i), i, i).real
             logdet = float(2.0 * np.log(low).sum())
         return logdet / (n_resources * LN2)
 
@@ -694,8 +687,8 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     in panels of at most 64 RFP columns, whose temporaries stay near 1 MB at
     m = 2000; where LAPACKE lacks tftri, the diagonal of M^{-1} from pftri
     is read instead.  When K > N, pftri gives M^{-1} in RFP and user k's MMSE is
-    1 - (snr/d) a_k^H M^{-1} a_k, gathered from the d(d+1)/2 entries that
-    user k's resources pick out.
+    1 - (snr/d) a_k^H M^{-1} a_k, gathered (_rfp_entries) from the d(d+1)/2
+    entries that user k's resources pick out.
     """
     if not snr > 0.0:
         raise DomainError(f"snr must be positive, got {snr!r}")
@@ -732,20 +725,15 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
             if info != 0:
                 raise NumericalError(f"inverting I + snr R failed ({name} info {info})")
             if user_side:
-                diag[:] = _rfp_diagonal(inv, m)
+                i = np.arange(m)
+                diag[:] = _rfp_entries(inv, m, i, i).real
             else:
                 rows, w = sig.rows.reshape(k, d), sig.weights.reshape(k, d)
                 quad = np.zeros(k)
                 for p in range(d):
-                    for q in range(p, d):
-                        rp, rq = rows[:, p], rows[:, q]
-                        pos, conj = _rfp_positions(m, np.maximum(rp, rq), np.minimum(rp, rq))
-                        # M^{-1}[rp, rq] is the stored entry, conjugated when exactly one of the
-                        # RFP layout and rp < rq flips it; Re(u conj(x)) = Re(conj(u) x), and a
-                        # pair p < q stands for (q, p) too
-                        u = np.conj(w[:, p]) * w[:, q]
-                        u = np.where(conj ^ (rp < rq), np.conj(u), u)
-                        quad += (1.0 if p == q else 2.0) * (u * inv[pos]).real
+                    for q in range(p, d):  # a pair p < q stands for (q, p) too
+                        x = _rfp_entries(inv, m, rows[:, p], rows[:, q])
+                        quad += (1.0 if p == q else 2.0) * (np.conj(w[:, p]) * w[:, q] * x).real
                 diag[:] = 1.0 - c * quad
     if not (np.min(diag) > 0.0 and np.max(diag) <= 1.0 + 1e-10):
         raise NumericalError("per-user MMSE left (0, 1]")

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparse_noma import montecarlo
+from sparse_noma.checks import run_checks
 from sparse_noma.cli import CSV_HEADER, build_parser, main
+from sparse_noma.errors import ConfigurationError
 from sparse_noma.units import db_to_linear, linear_to_db
 
 
@@ -289,6 +291,12 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "--check", "no_such_check")
         assert code == 2
         assert "unknown check" in err
+
+    def test_library_rejects_unknown_check_name(self):
+        # run_checks itself refuses a name, so a misspelt check is not silently skipped
+        with pytest.raises(ConfigurationError) as info:
+            run_checks(names=("typo", "rate_solver"))
+        assert str(info.value).startswith("unknown check name(s) ['typo']; available: ['arcsine_point', ")
 
     def test_detects_injected_fault(self, capsys, monkeypatch):
         # a wrong closed form must turn the named check red, not crash it

@@ -531,7 +531,7 @@ RFP_CASES = [(10, 10, 1000), (10, 10, 1001), (3, 6, 999), (3, 6, 1000)]
 
 
 class TestRfpRoutes:
-    """The factor in rectangular full packed storage: its layout, panels past the first, its memory."""
+    """The factor in rectangular full packed storage: its layout, panels past the first, its LAPACK bindings."""
 
     SNR, SEED = 10.0, 31
 
@@ -560,41 +560,18 @@ class TestRfpRoutes:
                                      phase_scheme=scheme)
         assert est.estimate * n * math.log(2.0) == pytest.approx(want, rel=1e-12, abs=0.0)
 
-    def test_peak_memory_is_about_half_a_dense_copy(self):
-        # m = N = 1000 with complex weights: the factor holds 8 m(m+1) bytes, a dense copy 16 m^2
-        m, cfg = 1000, SystemConfig(3, 6, self.SNR)
-        sig = generate_signature(m, 3, 6, "uniform", np.random.default_rng([self.SEED, 0]))
-        empirical_capacity_opt(60, cfg, trials=1)  # first-call allocations happen outside
-        lmmse_diagonal(generate_signature(60, 3, 6, seed=0), self.SNR)
-        for call in (lambda: lmmse_diagonal(sig, self.SNR),
-                     lambda: empirical_capacity_opt(m, cfg, trials=1, seed=self.SEED)):
-            tracemalloc.start()
-            try:
-                call()
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= 0.65 * 16 * m * m
-
-    def test_tracemalloc_sees_the_mapped_arrays(self):
-        # a negative control for the guard above: the dense copy and the RFP array live in mappings
-        # of their own, which tracemalloc counts only because they are registered with it
-        m = 1000  # (3,6), N = 1000 with complex weights: K = 2000, so the resource side
-        sig = generate_signature(m, 3, 6, "uniform", np.random.default_rng([self.SEED, 0]))
-        empirical_spectrum(generate_signature(60, 3, 6, seed=0))  # first-call allocations happen outside
-        montecarlo._cholesky(generate_signature(60, 3, 6, seed=0), self.SNR)
-        for call, floor in ((lambda: empirical_spectrum(sig), 16 * m * m),
-                            (lambda: montecarlo._cholesky(sig, self.SNR), 8 * m * (m + 1))):
-            tracemalloc.start()
-            try:
-                result = call()
-                peak = tracemalloc.get_traced_memory()[1]
-                del result
-                current = tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-            assert peak >= floor
-            assert current < 1_000_000
+    def test_routes_run_without_pythonapi(self, run_probe):
+        # nothing binds the CPython C API, so an interpreter without ctypes.pythonapi runs every route
+        probe = (
+            "import ctypes; ctypes.pythonapi = None\n"
+            "import numpy as np\n"
+            "from sparse_noma import SystemConfig, montecarlo as mc\n"
+            "sig = mc.generate_signature(60, 3, 6, 'uniform', np.random.default_rng(0))\n"
+            "cfg = SystemConfig(3, 6, 10.0)\n"
+            "print(mc.empirical_spectrum(sig).driver, mc.empirical_capacity_opt(60, cfg, trials=1).trials,\n"
+            "      mc.empirical_capacity_lmmse(60, cfg, trials=1).trials, len(mc.lmmse_diagonal(sig, 10.0)))\n"
+        )
+        assert run_probe(probe).split() == ["zheevd_2stage", "1", "1", "120"]
 
     def test_tftri_binds_on_this_platform(self):
         # a silent fallback would keep every result and lose the speed, or load scipy.linalg
@@ -706,10 +683,65 @@ class TestBetheZeta:
             assert bethe + loops == pytest.approx(logdet, rel=1e-12, abs=0.0), f"snr {snr}"
 
 
+class TestMmseIdentity:
+    """On every draw, sum_k mmse_k = K m1 - snr d/dsnr log det(I - B), m1 = P_r/(snr + P_r).
+
+    The snr derivative of TestBetheZeta's identity, with I-MMSE on its left
+    side: d/dsnr log det(I + c G) = (K - sum_k mmse_k)/snr.  B is linear in
+    rho, B = B(0) + rho U, so d/dsnr log det(I - B) = -rho' tr((I - B)^{-1} U),
+    with rho' from the cavity quadratic, no finite difference.  The sum is
+    lmmse_diagonal's on every route: tftri at (3,2) and (10,10), its pftri
+    fallback, pftri on the resource side at (3,6), the cycles at (2,2).  Each
+    N gives 2E = 1200; the worst relative error seen is 1.7e-14, at snr = 1e3,
+    where the sum is near 2.
+    """
+
+    SEED = 41
+
+    @staticmethod
+    def cavity_slope(d, bd, snr):
+        """(P_r, rho, d rho/d snr), rho = -c/(P_u P_r) with P_u P_r = P_r + alpha snr."""
+        alpha, beta = (d - 1) / d, bd / d
+        _, p_r = cavity_point(d, bd, snr)
+        # P_r' from differentiating the quadratic; its root is P_r - h
+        h = (1.0 - (1.0 - beta) * snr) / 2.0
+        dp_r = (alpha - (1.0 - beta) * p_r) / (2.0 * (p_r - h))
+        q = p_r + alpha * snr
+        return p_r, -snr / (d * q), -(p_r - snr * dp_r) / (d * q * q)
+
+    def check(self, d, bd, n, scheme):
+        sig = generate_signature(n, d, bd, scheme, np.random.default_rng([self.SEED, 0]))
+        u = nonbacktracking(sig, 1.0) - nonbacktracking(sig, 0.0)
+        identity = np.eye(len(u))
+        for snr in (1e-3, 0.1, 10.0, 1e3):
+            p_r, rho, slope = self.cavity_slope(d, bd, snr)
+            trace = np.trace(np.linalg.solve(identity - nonbacktracking(sig, rho), u))
+            want = sig.n_users * p_r / (snr + p_r) + snr * slope * trace
+            assert abs(want.imag) <= 1e-12 * abs(want)
+            got = lmmse_diagonal(sig, snr).sum()
+            assert got == pytest.approx(want.real, rel=1e-12, abs=0.0), f"snr {snr}"
+
+    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
+    @pytest.mark.parametrize("d, bd, n", [(2, 2, 300), (3, 2, 300), (3, 6, 100), (10, 10, 60)])
+    def test_mmse_sum_is_bethe_plus_loops(self, d, bd, n, scheme):
+        self.check(d, bd, n, scheme)
+
+    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
+    @pytest.mark.parametrize("d, bd, n", [(3, 2, 300), (10, 10, 60)])
+    def test_pftri_fallback(self, monkeypatch, d, bd, n, scheme):
+        lapacke = montecarlo._lapacke
+        monkeypatch.setattr(montecarlo, "_lapacke",
+                            lambda name, args: None if name.endswith("tftri") else lapacke(name, args))
+        self.check(d, bd, n, scheme)
+
+
 RSS_PROBE = """
+import os
 import sys
+# one BLAS thread, read when numpy loads OpenBLAS: a second thread's buffers added 1-2 MB
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 import numpy as np
-from sparse_noma import montecarlo as mc
+from sparse_noma import SystemConfig, montecarlo as mc
 
 def peak():
     # VmHWM is this process's own peak; ru_maxrss starts at the forking parent's, which can hide the growth
@@ -717,6 +749,9 @@ def peak():
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
 
 def run(t, n, d, bd):
+    if sys.argv[1] == "opt":  # one trial, drawn from default_rng([71 + t, 0])
+        mc.empirical_capacity_opt(n, SystemConfig(d, bd, 10.0), trials=1, seed=71 + t)
+        return
     sig = mc.generate_signature(n, d, bd, "uniform", np.random.default_rng([71, t]))
     if sys.argv[1] == "spectrum":
         mc.empirical_spectrum(sig)
@@ -733,12 +768,15 @@ print(peak() - base)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status; the mmap threshold is glibc's")
 class TestResidentMemory:
-    """A sequence of trials peaks at its largest array, not at the sum of the freed ones glibc kept.
+    """Peak resident growth of a fresh process over the Monte Carlo routes' largest arrays.
 
-    From malloc, freeing a mapped block of up to 32 MiB raises glibc's mmap
-    threshold to its size, so the next copy of that size came from the heap
-    and stayed resident.  Each probe runs in a fresh process: two (3,2) draws
-    at N = 2001 (m = 1334), then the largest array.
+    It counts what tracemalloc never sees: the arrays' own mappings, LAPACK
+    workspace and heap that glibc keeps.  A sequence of trials peaks at its
+    largest array, not at the sum of the freed ones glibc kept: from malloc,
+    freeing a mapped block of up to 32 MiB raises glibc's mmap threshold to
+    its size, so the next copy of that size came from the heap and stayed
+    resident.  Those probes run two (3,2) draws at N = 2001 (m = 1334), then
+    the largest array.
     """
 
     def test_spectra_peak_at_one_dense_copy(self, run_probe):
@@ -756,6 +794,15 @@ class TestResidentMemory:
         m = 2000
         growth = int(run_probe(RSS_PROBE, "lmmse", "2001,3,2", "2001,3,2", "2000,10,10"))
         assert growth <= 1.5 * 8 * m * (m + 1)
+
+    @pytest.mark.parametrize("mode", ["lmmse", "opt"])
+    @pytest.mark.parametrize("m", [1000, 2000])
+    def test_rfp_estimates_peak_near_half_a_dense_copy(self, run_probe, mode, m):
+        # (3,6), N = m: K = 2m users, so the m x m resource side in RFP, 8 m(m+1) bytes with complex
+        # weights where a dense copy takes 16 m^2.  The growth was 0.606-0.616 x 16 m^2 at m = 1000 and
+        # 0.553 x at m = 2000, one BLAS thread; with _cholesky packing a dense copy (trttf) it was 1.51-1.52 x
+        growth = int(run_probe(RSS_PROBE, mode, f"{m},3,6"))
+        assert growth <= 0.65 * 16 * m * m
 
 
 def hermitian(rng, m, complex_):
