@@ -2,7 +2,8 @@
 
 Library layout:
 
-- spectral: ensemble constants, limiting spectrum, Stieltjes transforms
+- spectral: the limiting spectrum as one record (SpectralDensity), its density,
+  CDF, quadrature and Stieltjes transforms
 - capacity: optimum/LMMSE closed forms, integral oracle, MMSE diagnostics
 - asymptotics: extreme-SNR slope/threshold parameters and affine approximations
 - baselines: dense baselines, fixed-Eb/N0 rate solving, load sweeps, envelopes
@@ -20,12 +21,10 @@ from .capacity import (
 )
 from .errors import ConfigurationError, DomainError, GenerationError, NumericalError
 from .spectral import (
-    DerivedParams,
     SpectralDensity,
     StieltjesValue,
     SystemConfig,
     density_at,
-    derive_params,
     integrate_against_density,
     limiting_cdf,
     spectral_density,

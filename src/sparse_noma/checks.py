@@ -39,7 +39,6 @@ from .montecarlo import (
 from .spectral import (
     SystemConfig,
     density_at,
-    derive_params,
     integrate_against_density,
     spectral_density,
     stieltjes,
@@ -301,7 +300,7 @@ def check_stieltjes_branch() -> tuple[bool, str]:
     worst_resid = 0.0
     ok = True
     for d, bd in ((2, 2), (3, 2), (3, 6), (6, 12), (10, 10)):
-        p = derive_params(SystemConfig(d, bd))
+        p = spectral_density(SystemConfig(d, bd))
         for _ in range(200):
             z = complex(rng.uniform(-5, bd + 5), 10.0 ** rng.uniform(-6, 2))
             sv = stieltjes(p, z)
@@ -323,11 +322,10 @@ def check_density_inversion() -> tuple[bool, str]:
     """(1/pi) Im m_outer(lam + i*eps) matches the density on an interior grid."""
     worst = 0.0
     for d, bd in ((2, 2), (3, 2), (3, 6), (10, 10)):
-        dens = spectral_density(SystemConfig(d, bd))
-        p = dens.params
+        p = spectral_density(SystemConfig(d, bd))
         for frac in np.linspace(0.08, 0.92, 12):
             lam = p.lambda_minus + frac * (p.lambda_plus - p.lambda_minus)
-            rho = density_at(dens, lam)
+            rho = density_at(p, lam)
             f3 = stieltjes(p, complex(lam, 1e-3)).m_outer.imag / math.pi
             f4 = stieltjes(p, complex(lam, 1e-4)).m_outer.imag / math.pi
             extrap = f4 + (f4 - f3) / 9.0
@@ -346,7 +344,7 @@ def check_lmmse_identity() -> tuple[bool, str]:
     worst = 0.0
     for d in GRID_D:
         for bd in GRID_BD:
-            p = derive_params(SystemConfig(d, bd))
+            p = spectral_density(SystemConfig(d, bd))
             for snr in GRID_SNR:
                 cfg = SystemConfig(d, bd, snr)
                 m_outer = stieltjes(p, -1.0 / snr).m_outer.real

@@ -38,7 +38,7 @@ from .montecarlo import (
     feasible_resources,
     ks_draw,
 )
-from .spectral import SystemConfig, density_at, derive_params, spectral_density
+from .spectral import SystemConfig, density_at, spectral_density
 from .svgplot import sweep_svg
 from .units import db_to_linear, linear_to_db
 
@@ -102,7 +102,7 @@ def _verdict_fields(record: Any) -> dict:
 
 
 def cmd_params(args: argparse.Namespace) -> int:
-    p = derive_params(SystemConfig(args.d, args.beta_d))
+    p = spectral_density(SystemConfig(args.d, args.beta_d))
     fields = {key: getattr(p, key) for key in _PARAM_KEYS}
     _write(args, fields, ["key,value", *(f"{k},{_fmt(v)}" for k, v in fields.items())])
     return 0
@@ -111,12 +111,11 @@ def cmd_params(args: argparse.Namespace) -> int:
 def cmd_density(args: argparse.Namespace) -> int:
     if args.points < 1:
         raise ConfigurationError(f"--points must be >= 1, got {args.points}")
-    dens = spectral_density(SystemConfig(args.d, args.beta_d))
-    p = dens.params
+    p = spectral_density(SystemConfig(args.d, args.beta_d))
     # midpoint grid keeps samples strictly inside the support
     width = p.lambda_plus - p.lambda_minus
     lams = [p.lambda_minus + (j + 0.5) / args.points * width for j in range(args.points)]
-    pairs = [(lam, density_at(dens, lam)) for lam in lams]
+    pairs = [(lam, density_at(p, lam)) for lam in lams]
     fields = {
         "d": p.d,
         "beta_d": p.beta_d,

@@ -92,6 +92,8 @@ PHASE_SCHEMES = ("uniform", "binary", "repetition")
 
 _TRACE_TOL = 1e-10
 
+_MIN_SNR = 1e-9  # smallest snr > 0 the capacity estimators take (_require_resolved_snr)
+
 KS_THRESHOLD = 0.02
 KS_MIN_RESOURCES = 2000  # the threshold is only meaningful near this acceptance scale
 
@@ -538,13 +540,6 @@ def _rfp_lapack(routine: str, arf: np.ndarray, m: int) -> tuple[np.ndarray, str,
     return arf, name, info
 
 
-def _two_stage_driver(complex_: bool):
-    """(name, ctypes function) of LAPACKE's two-stage eigenvalue driver, or None if absent."""
-    name = "zheevd_2stage" if complex_ else "dsyevd_2stage"
-    fn = _lapacke(name, "iccipip")  # (layout, jobz, uplo, n, a, lda, w)
-    return None if fn is None else (name, fn)
-
-
 def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float) -> tuple[np.ndarray, str]:
     """Ascending eigenvalues of the m x m Hermitian G / scale, and the driver that computed them.
 
@@ -568,9 +563,10 @@ def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float)
     # by the reciprocal, as scipy.sparse scales: at exactly degenerate eigenvalues a last-digit
     # change of an entry can move a KS distance by about 1e-8
     a[i, j] = v * (1.0 / scale)
-    name, fn = _two_stage_driver(np.iscomplexobj(a)) or ("eigvalsh", None)
+    name = "zheevd_2stage" if np.iscomplexobj(a) else "dsyevd_2stage"
+    fn = _lapacke(name, "iccipip")  # (layout, jobz, uplo, n, a, lda, w)
     if fn is None:
-        return np.linalg.eigvalsh(a), name
+        return np.linalg.eigvalsh(a), "eigvalsh"
     w = np.empty(m)  # column major (102), eigenvalues only, lower triangle; overwrites a
     info = fn(102, b"N", b"L", m, a.ctypes.data, lda, w.ctypes.data)
     if info != 0:
@@ -644,6 +640,17 @@ def _mc_trials(
     )
 
 
+def _require_resolved_snr(snr: float) -> None:
+    """DomainError below snr = 1e-9, under which a trial's rounding error can pass 1e-6 relative.
+
+    The estimators take logs of values stored next to 1 (L_ii ~ 1 + snr/2,
+    the MMSE 1 - O(snr)), so a trial's relative error grows like 1e-16/snr:
+    at worst 2.5e-7 at snr = 1e-9 and 2.1e-6 at 1e-10 (README, "Numerical notes").
+    """
+    if not snr >= _MIN_SNR:
+        raise DomainError(f"snr must be at least {_MIN_SNR:g} for a Monte Carlo estimate, got {snr!r}")
+
+
 def empirical_capacity_opt(
     n_resources: int,
     config: SystemConfig,
@@ -657,8 +664,12 @@ def empirical_capacity_opt(
     log1p(snr mu / d) over the cycle eigenvalues mu of G, otherwise
     2 sum log2 L_ii over the diagonal of the Cholesky factor L, held in RFP
     on the smaller Gram side (8 m(m+1) bytes for complex weights); no
-    eigensolve runs.
+    eigensolve runs.  snr = 0 gives exactly 0; from snr = 1e-9 up each trial
+    is within 1e-6 relative of its exact log-determinant, and in between it
+    raises DomainError (_require_resolved_snr).
     """
+    if config.snr != 0.0:
+        _require_resolved_snr(config.snr)
     c = config.snr / config.d
 
     def bits(sig: SignatureMatrix) -> float:
@@ -688,10 +699,11 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     m = 2000; where LAPACKE lacks tftri, the diagonal of M^{-1} from pftri
     is read instead.  When K > N, pftri gives M^{-1} in RFP and user k's MMSE is
     1 - (snr/d) a_k^H M^{-1} a_k, gathered (_rfp_entries) from the d(d+1)/2
-    entries that user k's resources pick out.
+    entries that user k's resources pick out.  From snr = 1e-9 up the mean
+    log of the values is within 1e-6 relative of the exact one; below it
+    raises DomainError (_require_resolved_snr).
     """
-    if not snr > 0.0:
-        raise DomainError(f"snr must be positive, got {snr!r}")
+    _require_resolved_snr(snr)
     c = snr / sig.d
     k, d, panel = sig.n_users, sig.d, 64
     diag = np.zeros(k)
@@ -747,7 +759,7 @@ def empirical_capacity_lmmse(
     seed: int = 0,
     phase_scheme: str = "uniform",
 ) -> McEstimate:
-    """Per-user LMMSE spectral-efficiency estimate beta * E[log2(1/M_kk)]."""
+    """Per-user LMMSE spectral-efficiency estimate beta * E[log2(1/M_kk)], for snr >= 1e-9 (lmmse_diagonal)."""
     beta = config.beta_d / config.d
     return _mc_trials(
         n_resources, config, trials, seed, phase_scheme,

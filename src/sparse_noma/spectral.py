@@ -5,11 +5,14 @@ unit-modulus nonzeros per column and beta*d per row, so the load is
 beta = K/N.  In the large-system limit the empirical eigenvalue law of the
 scaled Gram matrix (1/d) A A^H converges to a deterministic measure: a point
 mass [1-beta]^+ at zero plus an absolutely continuous part supported on
-[lambda_minus, lambda_plus].  This module derives the ensemble parameters
-exactly from the integer pair (d, beta*d), evaluates the Stieltjes transform
-pair off the support in closed form, and integrates continuous functions
-against the limiting measure: a substitution removes every endpoint
-singularity, and adaptive 32/64-node Gauss panels resolve kinks.
+[lambda_minus, lambda_plus].  That measure depends only on the integer pair
+(d, beta*d), and one record holds it: spectral_density(config) returns the
+SpectralDensity of config's degree pair, its constants derived exactly in
+rationals and cached.  Every other function here takes that record: it
+evaluates the Stieltjes transform pair off the support in closed form, and
+integrates continuous functions against the limiting measure: a substitution
+removes every endpoint singularity, and adaptive 32/64-node Gauss panels
+resolve kinks.
 """
 
 from __future__ import annotations
@@ -27,10 +30,8 @@ from .errors import ConfigurationError, DomainError, NumericalError
 
 __all__ = [
     "SystemConfig",
-    "DerivedParams",
     "StieltjesValue",
     "SpectralDensity",
-    "derive_params",
     "spectral_density",
     "stieltjes",
     "density_at",
@@ -95,12 +96,13 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class DerivedParams:
-    """Dimensionless ensemble constants derived from (d, beta_d).
+class SpectralDensity:
+    """Limiting eigenvalue law of (1/d) A A^H, fixed by the degree pair (d, beta_d).
 
-    alpha = (d-1)/d, gamma = (beta_d-1)/d, beta_tilde = alpha/gamma,
-    zeta = beta_d/gamma; the continuous support is [lambda_minus,
-    lambda_plus] = [(sqrt(alpha)-sqrt(gamma))^2, (sqrt(alpha)+sqrt(gamma))^2].
+    Built only by spectral_density.  Its constants: alpha = (d-1)/d,
+    gamma = (beta_d-1)/d, beta_tilde = alpha/gamma, zeta = beta_d/gamma; the
+    continuous support is [lambda_minus, lambda_plus] =
+    [(sqrt(alpha)-sqrt(gamma))^2, (sqrt(alpha)+sqrt(gamma))^2].
     zeta >= (1 + sqrt(beta_tilde))^2 holds for every degree pair: with
     P = (d-1)(beta_d-1), zeta - 1 - beta_tilde = (P + 1)/(beta_d - 1) and
     (zeta - 1 - beta_tilde)^2 - 4 beta_tilde = ((P - 1)/(beta_d - 1))^2.
@@ -137,7 +139,7 @@ class DerivedParams:
 
 
 @lru_cache(maxsize=None)
-def _derive_params_cached(d: int, beta_d: int) -> DerivedParams:
+def _density(d: int, beta_d: int) -> SpectralDensity:
     alpha = Fraction(d - 1, d)
     gamma = Fraction(beta_d - 1, d)
     beta_tilde = alpha / gamma
@@ -152,7 +154,7 @@ def _derive_params_cached(d: int, beta_d: int) -> DerivedParams:
     lam_minus = 0.0 if d == beta_d else diff * diff / lam_plus
     support_gap = (root - 1.0) ** 2 / d
 
-    return DerivedParams(
+    return SpectralDensity(
         d=d,
         beta_d=beta_d,
         alpha=float(alpha),
@@ -165,9 +167,9 @@ def _derive_params_cached(d: int, beta_d: int) -> DerivedParams:
     )
 
 
-def derive_params(config: SystemConfig) -> DerivedParams:
-    """Exact-rational derivation of the ensemble constants for a config."""
-    return _derive_params_cached(config.d, config.beta_d)
+def spectral_density(config: SystemConfig) -> SpectralDensity:
+    """The limiting law of config's degree pair, derived in exact rationals and cached; config.snr is not read."""
+    return _density(config.d, config.beta_d)
 
 
 @dataclass(frozen=True)
@@ -179,17 +181,17 @@ class StieltjesValue:
     m_outer: complex
 
 
-def _support_sqrt(params: DerivedParams, z: complex) -> complex:
+def _support_sqrt(density: SpectralDensity, z: complex) -> complex:
     """sqrt((z - lambda_minus)(z - lambda_plus)) with cut on the support.
 
     The product of principal square roots is analytic off
     [lambda_minus, lambda_plus] and behaves like +z at both real infinities,
     which is exactly the branch the transform needs.
     """
-    return cmath.sqrt(z - params.lambda_minus) * cmath.sqrt(z - params.lambda_plus)
+    return cmath.sqrt(z - density.lambda_minus) * cmath.sqrt(z - density.lambda_plus)
 
 
-def stieltjes(params: DerivedParams, z: complex) -> StieltjesValue:
+def stieltjes(density: SpectralDensity, z: complex) -> StieltjesValue:
     """Evaluate the inner/outer Stieltjes transforms at z.
 
     The inner transform solves alpha*z*m^2 + (z + alpha - gamma)*m + 1 = 0;
@@ -201,28 +203,28 @@ def stieltjes(params: DerivedParams, z: complex) -> StieltjesValue:
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"z must be finite, got {z!r}")
-    beta = params.beta
+    beta = density.beta
     if z.imag == 0.0:
         x = z.real
-        if params.lambda_minus <= x <= params.lambda_plus:
+        if density.lambda_minus <= x <= density.lambda_plus:
             raise DomainError(
                 f"z={x!r} lies on the continuous support "
-                f"[{params.lambda_minus!r}, {params.lambda_plus!r}]"
+                f"[{density.lambda_minus!r}, {density.lambda_plus!r}]"
             )
         if x == 0.0 and beta <= 1.0:
             raise DomainError("z=0 coincides with the point mass at zero")
         z = complex(x, 0.0)
 
-    w = _support_sqrt(params, z)
-    b = z + params.alpha - params.gamma
+    w = _support_sqrt(density, z)
+    b = z + density.alpha - density.gamma
     # Two algebraically equivalent forms of the same branch; take whichever
     # denominator is larger to dodge cancellation.
     if abs(b + w) >= abs(b - w):
         m_inner = -2.0 / (b + w)
     else:
-        m_inner = (w - b) / (2.0 * params.alpha * z)
+        m_inner = (w - b) / (2.0 * density.alpha * z)
 
-    term_sq = params.alpha * z * m_inner * m_inner
+    term_sq = density.alpha * z * m_inner * m_inner
     residual = term_sq + b * m_inner + 1.0
     # near z = 0 the bounded root itself diverges (the inner measure has an
     # atom there when beta < 1), so measure the residual against the terms
@@ -232,27 +234,11 @@ def stieltjes(params: DerivedParams, z: complex) -> StieltjesValue:
             f"inner transform residual {abs(residual):.3e} exceeds tolerance at z={z!r}"
         )
 
-    denom = z - beta / (1.0 + params.alpha * m_inner)
+    denom = z - beta / (1.0 + density.alpha * m_inner)
     if denom == 0:
         raise NumericalError(f"outer transform pole encountered at z={z!r}")
     m_outer = -1.0 / denom
     return StieltjesValue(z=z, m_inner=m_inner, m_outer=m_outer)
-
-
-@dataclass(frozen=True)
-class SpectralDensity:
-    """Limiting eigenvalue law of (1/d) A A^H for one ensemble."""
-
-    config: SystemConfig
-    params: DerivedParams
-
-    @property
-    def point_mass_at_zero(self) -> float:
-        return self.params.point_mass_at_zero
-
-
-def spectral_density(config: SystemConfig) -> SpectralDensity:
-    return SpectralDensity(config=config, params=derive_params(config))
 
 
 def density_at(density: SpectralDensity, lam: float) -> float:
@@ -264,28 +250,26 @@ def density_at(density: SpectralDensity, lam: float) -> float:
     in the arcsine case) and the density diverges like an inverse square
     root.  Off the support the density is 0.
     """
-    p = density.params
     lam = float(lam)
     if not math.isfinite(lam) or lam < 0.0:
         raise DomainError(f"lambda must be finite and >= 0, got {lam!r}")
-    if lam == p.lambda_minus:
-        return math.inf if p.lambda_minus == 0.0 else 0.0
-    if lam == p.lambda_plus:
-        return math.inf if p.edge_contact else 0.0
-    if lam < p.lambda_minus or lam > p.lambda_plus:
+    if lam == density.lambda_minus:
+        return math.inf if density.lambda_minus == 0.0 else 0.0
+    if lam == density.lambda_plus:
+        return math.inf if density.edge_contact else 0.0
+    if lam < density.lambda_minus or lam > density.lambda_plus:
         return 0.0
-    num = math.sqrt((lam - p.lambda_minus) * (p.lambda_plus - lam))
-    return p.beta_d * num / (2.0 * math.pi * lam * (p.beta_d - lam))
+    num = math.sqrt((lam - density.lambda_minus) * (density.lambda_plus - lam))
+    return density.beta_d * num / (2.0 * math.pi * lam * (density.beta_d - lam))
 
 
-def _theta_weight(params: DerivedParams, theta: np.ndarray) -> np.ndarray:
+def _theta_weight(p: SpectralDensity, theta: np.ndarray) -> np.ndarray:
     """Integrand weight after lam = lambda_minus + span*sin^2(theta).
 
     The substitution absorbs both square-root endpoint factors, and the two
     bounded ratios below absorb the 1/lam and 1/(beta_d - lam) poles even in
     the contact cases, so the weight is smooth on [0, pi/2].
     """
-    p = params
     span = p.lambda_plus - p.lambda_minus
     s2 = np.sin(theta) ** 2
     c2 = 1.0 - s2
@@ -309,7 +293,7 @@ def _gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panels(p: DerivedParams, f) -> list[tuple[float, float]]:
+def _panels(p: SpectralDensity, f) -> list[tuple[float, float]]:
     """(left end, integral) of each accepted panel for f times the weight, sorted.
 
     Panel [a, b] is accepted when its 32- and 64-node sums agree to
@@ -357,15 +341,14 @@ def integrate_against_density(density: SpectralDensity, f: Callable[[np.ndarray]
     the gap around a panel's centre that the 32- and 64-node rules share,
     both sums can agree and the panel is accepted with a wrong value.
     """
-    p = density.params
     total_atom = 0.0
-    pm = p.point_mass_at_zero
+    pm = density.point_mass_at_zero
     if pm > 0.0:
         f0 = float(np.asarray(f(np.array([0.0])), dtype=float).ravel()[0])
         if not math.isfinite(f0):
             raise NumericalError("integrand is not finite at the point mass (lambda=0)")
         total_atom = pm * f0
-    return total_atom + math.fsum(value for _, value in _panels(p, f))
+    return total_atom + math.fsum(value for _, value in _panels(density, f))
 
 
 def limiting_cdf(density: SpectralDensity, lam) -> np.ndarray:
@@ -375,22 +358,21 @@ def limiting_cdf(density: SpectralDensity, lam) -> np.ndarray:
     to its left and a 64-node rule from its own panel's left end, so every
     point is accurate to about 1e-12.
     """
-    p = density.params
-    span = p.lambda_plus - p.lambda_minus
+    span = density.lambda_plus - density.lambda_minus
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     out = np.zeros(lam.shape)
-    out[lam >= 0.0] = p.point_mass_at_zero
-    out[lam >= p.lambda_plus] = 1.0
+    out[lam >= 0.0] = density.point_mass_at_zero
+    out[lam >= density.lambda_plus] = 1.0
 
-    inside = (lam > p.lambda_minus) & (lam < p.lambda_plus)
+    inside = (lam > density.lambda_minus) & (lam < density.lambda_plus)
     if np.any(inside):
-        frac = np.clip((lam[inside] - p.lambda_minus) / span, 0.0, 1.0)
+        frac = np.clip((lam[inside] - density.lambda_minus) / span, 0.0, 1.0)
         theta_q = np.arcsin(np.sqrt(frac))
-        starts, masses = np.array(_panels(p, lambda _: 1.0)).T
+        starts, masses = np.array(_panels(density, lambda _: 1.0)).T
         k = np.searchsorted(starts, theta_q, side="right") - 1
         x, w = _gauss_rule(64)
         half = (theta_q - starts[k])[:, None] / 2.0
         theta = starts[k][:, None] + half * (x[None, :] + 1.0)
-        part = (half * w[None, :] * _theta_weight(p, theta)).sum(axis=1)
-        out[inside] = p.point_mass_at_zero + (np.cumsum(masses) - masses)[k] + part
+        part = (half * w[None, :] * _theta_weight(density, theta)).sum(axis=1)
+        out[inside] = density.point_mass_at_zero + (np.cumsum(masses) - masses)[k] + part
     return out

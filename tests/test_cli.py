@@ -228,6 +228,14 @@ class TestMonteCarlo:
         assert (r["closed_form"], r["estimate"], r["tolerance"]) == (0.0, 0.0, 0.0)
         assert code == 0
 
+    @pytest.mark.parametrize("receiver", ["opt", "lmmse"])
+    def test_snr_below_the_estimators_bound_is_a_domain_error(self, capsys, receiver):
+        # at -160 dB the optimum estimate rounded to 0.0 and LMMSE was 11% off
+        code, out, err = run(capsys, "montecarlo", "--d", "3", "--beta-d", "6", "--snr-db=-160",
+                             "--n", "300", "--trials", "4", "--no-ks", "--receiver", receiver)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "at least 1e-09" in err
+
     def test_ks_gated_at_acceptance_scale(self, capsys, schema):
         code, out, _ = run(capsys, "montecarlo", "--d", "2", "--beta-d", "2", "--snr-db", "10",
                            "--n", "2000", "--receiver", "lmmse", "--trials", "2")

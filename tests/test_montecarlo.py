@@ -15,7 +15,7 @@ import scipy.linalg as sla
 from hypothesis import given, settings, strategies as st
 
 from sparse_noma import (
-    ConfigurationError, GenerationError, NumericalError, SystemConfig, spectral_density,
+    ConfigurationError, DomainError, GenerationError, NumericalError, SystemConfig, spectral_density,
 )
 from sparse_noma.capacity import capacity_lmmse, capacity_optimum, lmmse_error
 from sparse_noma import montecarlo
@@ -388,6 +388,34 @@ class TestCapacityEstimators:
             assert abs(est.estimate - closed) < 0.005 * closed
 
 
+class TestLowSnrBound:
+    """Below snr = 1e-9 a trial's rounding passes 1e-6 relative, so the estimators raise DomainError."""
+
+    @pytest.mark.parametrize("snr", [5e-10, 1e-16])
+    def test_below_the_bound_is_a_domain_error(self, snr):
+        cfg = SystemConfig(3, 6, snr)
+        for run in (empirical_capacity_opt, empirical_capacity_lmmse):
+            with pytest.raises(DomainError, match="at least 1e-09"):
+                run(30, cfg, trials=1)
+        with pytest.raises(DomainError, match="at least 1e-09"):
+            lmmse_diagonal(generate_signature(30, 3, 6, seed=1), snr)
+
+    @pytest.mark.parametrize("d, bd, n, scheme", [
+        (2, 2, 300, "uniform"), (3, 6, 30, "binary"), (10, 10, 12, "repetition"), (3, 2, 120, "binary"),
+    ])
+    def test_trials_at_the_bound_are_within_1e_6(self, d, bd, n, scheme):
+        snr, seed = 1e-9, 1
+        sig = generate_signature(n, d, bd, scheme, np.random.default_rng([seed, 0]))  # trial 0 of seed
+        a = sig.to_sparse().toarray()
+        lam, u = np.linalg.eigh(a.conj().T @ a)
+        cl = snr / d * np.clip(lam, 0.0, None)
+        exact_opt = np.log1p(cl).sum() / (n * math.log(2.0))
+        exact_mean_log = np.log1p(-(np.abs(u) ** 2 @ (cl / (1.0 + cl)))).mean()
+        est = empirical_capacity_opt(n, SystemConfig(d, bd, snr), trials=1, seed=seed, phase_scheme=scheme)
+        assert est.estimate == pytest.approx(exact_opt, rel=1e-6, abs=0.0)
+        assert np.log(lmmse_diagonal(sig, snr)).mean() == pytest.approx(exact_mean_log, rel=1e-6, abs=0.0)
+
+
 class TestCompareToClosedForm:
     """The agreement rule abs_dev < max(3 SE, 1% closed) on synthetic estimates."""
 
@@ -618,6 +646,28 @@ class TestRfpRoutes:
                             lambda name, args: None if name[1:] in ("pftrf", "pftri") else lapacke(name, args))
         assert estimates() == pytest.approx(direct, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
+    @pytest.mark.parametrize("d, bd, n", [(3, 6, 300), (10, 10, 301), (3, 2, 300)])
+    def test_platform_without_lapacke(self, monkeypatch, d, bd, n, scheme):
+        # scipy builds on Accelerate have no LAPACKE at all: numpy.linalg.eigvalsh and
+        # scipy.linalg's pftrf/pftri run every route, on both Gram sides
+        cfg = SystemConfig(d, bd, self.SNR)
+        sig = generate_signature(n, d, bd, scheme, np.random.default_rng([self.SEED, 0]))
+
+        def results():
+            return (empirical_spectrum(sig), lmmse_diagonal(sig, self.SNR),
+                    [run(n, cfg, trials=1, seed=self.SEED, phase_scheme=scheme).estimate
+                     for run in (empirical_capacity_opt, empirical_capacity_lmmse)])
+
+        spectrum, diag, estimates = results()
+        monkeypatch.setattr(montecarlo, "_lapacke", lambda name, args: None)
+        bare_spectrum, bare_diag, bare_estimates = results()
+        assert bare_spectrum.driver == "eigvalsh"
+        top = spectrum.eigenvalues[-1]
+        assert np.max(np.abs(bare_spectrum.eigenvalues - spectrum.eigenvalues)) <= 1e-12 * max(1.0, top)
+        assert np.allclose(bare_diag, diag, rtol=1e-12, atol=0.0)
+        assert bare_estimates == pytest.approx(estimates, rel=1e-12, abs=0.0)
+
 
 def ordered_pairs(groups):
     """(f, g) over every ordered pair of distinct entries within each row of groups."""
@@ -839,9 +889,15 @@ def eigvalsh_spectrum(sig):
     return np.sort(np.clip(eigs, 0.0, None))
 
 
+def with_eigenvalue_driver(driver):
+    """_lapacke with both two-stage drivers replaced by driver (None: absent); every other name binds as before."""
+    lapacke = montecarlo._lapacke
+    return lambda name, args: driver if name in ("zheevd_2stage", "dsyevd_2stage") else lapacke(name, args)
+
+
 def moved_eigenvalue_driver(delta):
-    """The two-stage complex driver, then +delta on the smallest and -delta on the largest value."""
-    name, real = montecarlo._two_stage_driver(True)
+    """_lapacke whose two-stage complex driver adds delta to the smallest and subtracts it from the largest value."""
+    real = montecarlo._lapacke("zheevd_2stage", "iccipip")
 
     def moved(layout, jobz, uplo, n, a, lda, w):
         info = real(layout, jobz, uplo, n, a, lda, w)
@@ -850,7 +906,7 @@ def moved_eigenvalue_driver(delta):
         lam[-1] -= delta
         return info
 
-    return lambda complex_: (name, moved)
+    return with_eigenvalue_driver(moved)
 
 
 class TestEigensolveDriver:
@@ -897,23 +953,23 @@ class TestEigensolveDriver:
     def test_fallback_without_the_driver(self, monkeypatch, scheme):
         sig = generate_signature(300, 3, 6, scheme, seed=25)
         two_stage = empirical_spectrum(sig).eigenvalues
-        monkeypatch.setattr(montecarlo, "_two_stage_driver", lambda complex_: None)
+        monkeypatch.setattr(montecarlo, "_lapacke", with_eigenvalue_driver(None))
         fallback = empirical_spectrum(sig)
         assert fallback.driver == "eigvalsh"
         assert np.max(np.abs(fallback.eigenvalues - two_stage)) <= 1e-12 * max(1.0, two_stage[-1])
 
     def test_driver_failure_is_numerical_error(self, monkeypatch):
-        failing = ("zheevd_2stage", lambda *args: -5)
-        monkeypatch.setattr(montecarlo, "_two_stage_driver", lambda complex_: failing)
+        monkeypatch.setattr(montecarlo, "_lapacke", with_eigenvalue_driver(lambda *args: -5))
         with pytest.raises(NumericalError, match="zheevd_2stage info -5"):
             empirical_spectrum(generate_signature(60, 3, 6, seed=26))
 
     def test_moved_eigenvalues_fail_the_second_moment_identity(self, monkeypatch):
         # the trace and so the mean check stay intact; only the second identity sees the move
         sig = generate_signature(60, 3, 6, seed=27)
-        monkeypatch.setattr(montecarlo, "_two_stage_driver", moved_eigenvalue_driver(0.0))
+        unmoved, moved = moved_eigenvalue_driver(0.0), moved_eigenvalue_driver(1e-6)
+        monkeypatch.setattr(montecarlo, "_lapacke", unmoved)
         empirical_spectrum(sig)
-        monkeypatch.setattr(montecarlo, "_two_stage_driver", moved_eigenvalue_driver(1e-6))
+        monkeypatch.setattr(montecarlo, "_lapacke", moved)
         with pytest.raises(NumericalError, match="squared eigenvalues"):
             empirical_spectrum(sig)
 
@@ -1282,7 +1338,7 @@ class TestKsDistance:
     def test_synthetic_sample_from_limit(self):
         # stratified inverse-CDF draws from the limit itself: distance ~ 1/n
         dens = spectral_density(SystemConfig(3, 2))
-        grid = np.linspace(0.0, dens.params.lambda_plus, 20001)
+        grid = np.linspace(0.0, dens.lambda_plus, 20001)
         cdf = limiting_cdf(dens, grid)
         n = 4000
         targets = (np.arange(n) + 0.5) / n

@@ -1,5 +1,6 @@
 """Tests for the limiting-spectrum layer: parameters, transform, density."""
 
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -15,7 +16,6 @@ from sparse_noma import (
     NumericalError,
     SystemConfig,
     density_at,
-    derive_params,
     integrate_against_density,
     limiting_cdf,
     spectral_density,
@@ -86,9 +86,14 @@ class TestSystemConfig:
             SystemConfig(3, 2).with_snr(snr)
 
 
-class TestDerivedParams:
+class TestSpectralDensity:
+    def test_one_cached_record_per_degree_pair(self):
+        dens = spectral_density(SystemConfig(3, 6, snr=10.0))
+        assert dens is spectral_density(SystemConfig(3, 6))
+        assert {f.name for f in dataclasses.fields(dens)}.isdisjoint({"config", "params", "snr"})
+
     def test_contact_pair(self):
-        p = derive_params(SystemConfig(2, 2))
+        p = spectral_density(SystemConfig(2, 2))
         assert p.alpha == 0.5 and p.gamma == 0.5
         assert p.beta_tilde == 1.0 and p.zeta == 4.0
         assert p.lambda_minus == 0.0
@@ -97,7 +102,7 @@ class TestDerivedParams:
         assert p.point_mass_at_zero == 0.0
 
     def test_underloaded_pair(self):
-        p = derive_params(SystemConfig(3, 2))
+        p = spectral_density(SystemConfig(3, 2))
         assert p.alpha == pytest.approx(2 / 3)
         assert p.gamma == pytest.approx(1 / 3)
         assert p.lambda_minus == pytest.approx(1 - 2 * math.sqrt(2) / 3, rel=1e-14)
@@ -107,7 +112,7 @@ class TestDerivedParams:
 
     @given(d=degrees, bd=degrees)
     def test_support_relations(self, d, bd):
-        p = derive_params(SystemConfig(d, bd))
+        p = spectral_density(SystemConfig(d, bd))
         assert 0.0 <= p.lambda_minus < p.lambda_plus <= bd + 1e-12
         # edge touches the hard upper bound beta_d only for the single contact pair
         assert p.edge_contact == ((d - 1) * (bd - 1) == 1)
@@ -121,13 +126,13 @@ class TestDerivedParams:
 
 class TestStieltjes:
     def test_decay_far_left(self):
-        p = derive_params(SystemConfig(3, 6))
+        p = spectral_density(SystemConfig(3, 6))
         sv = stieltjes(p, -1e8)
         assert sv.m_outer.real == pytest.approx(1e-8, rel=1e-6)
         assert abs(sv.m_outer.imag) < 1e-20
 
     def test_quadratic_residual_on_real_axis(self):
-        p = derive_params(SystemConfig(2, 2))
+        p = spectral_density(SystemConfig(2, 2))
         z = -1.0
         m = stieltjes(p, z).m_inner
         resid = p.alpha * z * m * m + (z + p.alpha - p.gamma) * m + 1.0
@@ -135,18 +140,18 @@ class TestStieltjes:
 
     def test_inversion_near_support(self):
         # imaginary part at height 1e-3 recovers the density within 2%
-        p = derive_params(SystemConfig(2, 2))
+        p = spectral_density(SystemConfig(2, 2))
         approx = stieltjes(p, 1.0 + 1e-3j).m_outer.imag / math.pi
         assert approx == pytest.approx(1 / math.pi, rel=0.02)
 
     def test_rejects_support_points(self):
-        p = derive_params(SystemConfig(2, 2))
+        p = spectral_density(SystemConfig(2, 2))
         for z in (0.0, 1.0, 2.0):
             with pytest.raises(DomainError, match="support"):
                 stieltjes(p, z)
 
     def test_gap_below_support_is_fine_when_overloaded(self):
-        p = derive_params(SystemConfig(3, 6))
+        p = spectral_density(SystemConfig(3, 6))
         sv = stieltjes(p, 0.0)
         assert sv.m_outer.imag == 0.0 and sv.m_outer.real > 0.0
 
@@ -158,7 +163,7 @@ class TestStieltjes:
     )
     @settings(max_examples=200)
     def test_upper_half_plane_branch(self, d, bd, re, log_im):
-        p = derive_params(SystemConfig(d, bd))
+        p = spectral_density(SystemConfig(d, bd))
         z = complex(re, 10.0**log_im)
         sv = stieltjes(p, z)
         assert sv.m_inner.imag > 0.0
@@ -194,8 +199,8 @@ class TestDensity:
         assert density_at(contact, 0.0) == math.inf
         assert density_at(contact, 2.0) == math.inf
         plain = spectral_density(SystemConfig(3, 2))
-        assert density_at(plain, plain.params.lambda_minus) == 0.0
-        assert density_at(plain, plain.params.lambda_plus) == 0.0
+        assert density_at(plain, plain.lambda_minus) == 0.0
+        assert density_at(plain, plain.lambda_plus) == 0.0
 
     def test_zero_atom(self):
         assert spectral_density(SystemConfig(3, 2)).point_mass_at_zero == pytest.approx(1 / 3)
@@ -252,7 +257,7 @@ class TestLimitingCdf:
 
     def test_range_and_atom(self):
         dens = spectral_density(SystemConfig(3, 2))
-        vals = limiting_cdf(dens, [-1.0, 0.0, dens.params.lambda_plus, 10.0])
+        vals = limiting_cdf(dens, [-1.0, 0.0, dens.lambda_plus, 10.0])
         assert vals[0] == 0.0
         assert vals[1] == pytest.approx(1 / 3, abs=1e-12)
         assert vals[2] == pytest.approx(1.0, abs=1e-10)
@@ -263,8 +268,7 @@ class TestLimitingCdf:
         # lambda_minus is small but positive here, so the weight rises steeply
         # near the lower support edge
         dens = spectral_density(SystemConfig(d, bd))
-        p = dens.params
-        lams = p.lambda_minus + (p.lambda_plus - p.lambda_minus) * np.array([1e-4, 0.01, 0.1, 0.5, 0.9])
+        lams = dens.lambda_minus + (dens.lambda_plus - dens.lambda_minus) * np.array([1e-4, 0.01, 0.1, 0.5, 0.9])
         vals = limiting_cdf(dens, lams)
         with mp.workdps(30):
             ens = reference_ensemble(d, bd)
