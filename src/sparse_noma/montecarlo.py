@@ -26,13 +26,15 @@ columns, which need no conjugation.  The dense copy and the RFP array each
 live in an anonymous mapping of their own, unmapped when freed, the copy on
 base pages with each column's lower part ending on a page boundary and the
 RFP array on huge pages; _mapped_zeros and _eigvalsh give the reasons.
-Every LAPACK routine is called through its LAPACKE entry point, bound with
-ctypes in one place (_lapacke) from the LAPACK library scipy links, which is
-opened by path: no route imports the scipy.linalg package unless LAPACKE
-lacks pftrf or pftri, where scipy.linalg's wrappers run them.  scipy.sparse
-is imported only by the public to_sparse, which no route here calls;
-importing this module, the CLI's closed-form commands and `validate --quick`
-load numpy only.
+Every LAPACK routine is called through one helper (_lapack) at its LAPACKE
+entry point.  _lapacke binds them all at once with ctypes from the LAPACK
+library scipy links, which is opened by path, so no route imports the
+scipy.linalg package.  The platform is one decision: a scipy whose LAPACKE
+lacks any of the routines runs every route on its fallbacks
+(numpy.linalg.eigvalsh, scipy.linalg's pftrf and pftri, and the pftri
+diagonal for the MMSE values).  scipy.sparse is imported only by the public
+to_sparse, which no route here calls; importing this module, the CLI's
+closed-form commands and `validate --quick` load numpy only.
 
 At d = beta_d = 2 the graph is a disjoint union of cycles, and on a cycle of
 L users with flux phi the Gram's eigenvalues are 2 + 2 cos((phi + 2 pi k)/L)
@@ -443,9 +445,8 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     LAPACK pftrf factors in place: m(m+1)/2 entries, 8 m(m+1) bytes for
     complex weights and half that for real ones, where a full m x m copy
     would take 16 m^2.  The array has a mapping of its own on huge pages
-    (_mapped_zeros).  pftrf is called through LAPACKE (_rfp_lapack), so
-    scipy.linalg is not imported.  Callers read the factor's diagonal
-    through _rfp_entries.
+    (_mapped_zeros).  Callers read the factor's diagonal through
+    _rfp_entries.
     """
     i, j, v, user_side = _gram_lower(sig)
     m = sig.n_users if user_side else sig.n_resources
@@ -454,10 +455,7 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     pos, conj = _rfp_positions(m, i, j)
     arf = _mapped_zeros(m * (m + 1) // 2, v.dtype, huge_pages=True)
     arf[pos] = np.where(conj, v.conj(), v)
-    arf, name, info = _rfp_lapack("pftrf", arf, m)
-    if info != 0:
-        raise NumericalError(f"Cholesky factorization of I + snr R failed ({name} info {info})")
-    return arf, user_side
+    return _lapack("pftrf", "Cholesky factorization of I + snr R", b"N", b"L", m, arf)[0], user_side
 
 
 def _cycles(sig: SignatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -495,19 +493,27 @@ def _cycles(sig: SignatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _C_ARGS = {"i": ctypes.c_int, "c": ctypes.c_char, "p": ctypes.c_void_p}
+# each routine the routes call: its LAPACKE argument types, one letter each (i int, c char,
+# p pointer), then its complex and real names
+_LAPACKE_ROUTINES = {
+    "pftrf": ("iccip", "zpftrf", "dpftrf"),  # (layout, transr, uplo, n, a)
+    "pftri": ("iccip", "zpftri", "dpftri"),
+    "tftri": ("icccip", "ztftri", "dtftri"),  # (layout, transr, uplo, diag, n, a)
+    "heevd_2stage": ("iccipip", "zheevd_2stage", "dsyevd_2stage"),  # (layout, jobz, uplo, n, a, lda, w)
+}
 
 
 @functools.cache
-def _lapacke(name: str, args: str):
-    """LAPACKE_<name> as a ctypes function returning int, or None if absent.
+def _lapacke() -> dict[str, Callable[..., int]] | None:
+    """Every LAPACKE routine the routes call, in both precisions, as ctypes functions returning int, by name.
 
-    ``args`` spells the argument types, one letter each: i int, c char, p
-    pointer.  Bound on first call from the LP64 LAPACK scipy links, through
-    the extension library of scipy.linalg.cython_lapack, which is opened by
-    its path and never imported: importing the scipy.linalg package would
-    load about 8 MB of modules and libraries that no route here uses, where
-    the library alone costs about 2 MB.  dlsym also searches its
-    dependencies.  None when scipy has no such library.
+    None if scipy has no LAPACK library or it lacks any one of them: the
+    platform is decided once, so each route asks only whether this is None.
+    Bound on first call from the LP64 LAPACK scipy links, through the
+    extension library of scipy.linalg.cython_lapack, which is opened by its
+    path and never imported: importing the scipy.linalg package would load
+    about 8 MB of modules and libraries that no route here uses, where the
+    library alone costs about 2 MB.  dlsym also searches its dependencies.
     """
     import scipy
 
@@ -516,28 +522,41 @@ def _lapacke(name: str, args: str):
     if path is None:
         return None
     lib = ctypes.CDLL(path)
-    fn = getattr(lib, "scipy_LAPACKE_" + name, None) or getattr(lib, "LAPACKE_" + name, None)
-    if fn is not None:
-        fn.argtypes = [_C_ARGS[t] for t in args]
-        fn.restype = ctypes.c_int
-    return fn
+    bound = {}
+    for args, *names in _LAPACKE_ROUTINES.values():
+        for name in names:
+            fn = getattr(lib, "scipy_LAPACKE_" + name, None) or getattr(lib, "LAPACKE_" + name, None)
+            if fn is None:
+                return None
+            fn.argtypes = [_C_ARGS[t] for t in args]
+            fn.restype = ctypes.c_int
+            bound[name] = fn
+    return bound
 
 
-def _rfp_lapack(routine: str, arf: np.ndarray, m: int) -> tuple[np.ndarray, str, int]:
-    """LAPACK's pftrf or pftri on the m x m lower RFP array arf (TRANSR='N', UPLO='L'), in place: (arf, name, info).
+def _lapack(routine: str, failure: str, *args) -> tuple[np.ndarray, str]:
+    """Run LAPACK routine in column-major order: (the array it overwrote, the name that ran).
 
-    The call goes through LAPACKE (_lapacke).  Where LAPACKE lacks the
-    routine, scipy.linalg's f2py wrapper runs it, which is the only place
-    the Monte Carlo routes import scipy.linalg; it may return a copy.
+    args are LAPACKE's arguments after the layout, arrays passed as
+    themselves; the first array is the matrix the routine overwrites, and its
+    dtype picks the complex or the real name (_LAPACKE_ROUTINES).  info != 0
+    raises NumericalError "<failure> failed (<name> info <info>)".  Without
+    LAPACKE only pftrf and pftri reach here, on (TRANSR='N', UPLO='L', n, a),
+    and scipy.linalg's f2py wrappers run them: the only place the Monte
+    Carlo routes import scipy.linalg.  The wrapper may return a copy.
     """
-    name = ("z" if np.iscomplexobj(arf) else "d") + routine
-    fn = _lapacke(name, "iccip")  # (layout, transr, uplo, n, a)
-    if fn is not None:
-        return arf, name, fn(102, b"N", b"L", m, arf.ctypes.data)  # column major, overwrites arf
-    import scipy.linalg as sla
+    a = next(x for x in args if isinstance(x, np.ndarray))
+    name = _LAPACKE_ROUTINES[routine][1 if np.iscomplexobj(a) else 2]
+    lapacke = _lapacke()
+    if lapacke is not None:
+        info = lapacke[name](102, *(x.ctypes.data if isinstance(x, np.ndarray) else x for x in args))
+    else:
+        import scipy.linalg as sla
 
-    arf, info = sla.get_lapack_funcs(routine, (arf,))(m, arf, transr="N", uplo="L", overwrite_a=True)
-    return arf, name, info
+        a, info = sla.get_lapack_funcs(routine, (a,))(args[2], a, transr="N", uplo="L", overwrite_a=True)
+    if info != 0:
+        raise NumericalError(f"{failure} failed ({name} info {info})")
+    return a, name
 
 
 def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float) -> tuple[np.ndarray, str]:
@@ -563,15 +582,10 @@ def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float)
     # by the reciprocal, as scipy.sparse scales: at exactly degenerate eigenvalues a last-digit
     # change of an entry can move a KS distance by about 1e-8
     a[i, j] = v * (1.0 / scale)
-    name = "zheevd_2stage" if np.iscomplexobj(a) else "dsyevd_2stage"
-    fn = _lapacke(name, "iccipip")  # (layout, jobz, uplo, n, a, lda, w)
-    if fn is None:
+    if _lapacke() is None:
         return np.linalg.eigvalsh(a), "eigvalsh"
-    w = np.empty(m)  # column major (102), eigenvalues only, lower triangle; overwrites a
-    info = fn(102, b"N", b"L", m, a.ctypes.data, lda, w.ctypes.data)
-    if info != 0:
-        raise NumericalError(f"eigensolve failed ({name} info {info})")
-    return w, name
+    w = np.empty(m)  # eigenvalues only, lower triangle; overwrites a
+    return w, _lapack("heevd_2stage", "eigensolve", b"N", b"L", m, a, lda, w)[1]
 
 
 def empirical_spectrum(sig: SignatureMatrix) -> EmpiricalSpectrum:
@@ -629,6 +643,8 @@ def _mc_trials(
     """Mean and standard error of value(sig) over draws from the substreams (seed, t), t < trials."""
     if trials < 1:
         raise ConfigurationError("trials must be >= 1")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be >= 0, got {seed}")
     values = np.empty(trials)
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
@@ -696,10 +712,10 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     array is formed.  When K <= N the factor is inverted in place (LAPACK
     tftri) and user k's MMSE is |column k of L^{-1}|^2, re^2 + im^2 summed
     in panels of at most 64 RFP columns, whose temporaries stay near 1 MB at
-    m = 2000; where LAPACKE lacks tftri, the diagonal of M^{-1} from pftri
-    is read instead.  When K > N, pftri gives M^{-1} in RFP and user k's MMSE is
-    1 - (snr/d) a_k^H M^{-1} a_k, gathered (_rfp_entries) from the d(d+1)/2
-    entries that user k's resources pick out.  From snr = 1e-9 up the mean
+    m = 2000; without LAPACKE (_lapacke() is None) the diagonal of M^{-1}
+    from pftri is read instead.  When K > N, pftri gives M^{-1} in RFP and
+    user k's MMSE is 1 - (snr/d) a_k^H M^{-1} a_k, gathered (_rfp_entries)
+    from the d(d+1)/2 entries that user k's resources pick out.  From snr = 1e-9 up the mean
     log of the values is within 1e-6 relative of the exact one; below it
     raises DomainError (_require_resolved_snr).
     """
@@ -714,12 +730,8 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     else:
         arf, user_side = _cholesky(sig, snr)
         m = k if user_side else sig.n_resources
-        kind = "z" if np.iscomplexobj(arf) else "d"
-        tftri = _lapacke(kind + "tftri", "icccip") if user_side else None  # (layout, transr, uplo, diag, n, a)
-        if tftri is not None:
-            info = tftri(102, b"N", b"L", b"N", m, arf.ctypes.data)  # column major, overwrites arf
-            if info != 0:
-                raise NumericalError(f"inverting the Cholesky factor failed ({kind}tftri info {info})")
+        if user_side and _lapacke() is not None:
+            _lapack("tftri", "inverting the Cholesky factor", b"N", b"L", b"N", m, arf)  # overwrites arf
             # column j < n1 of L^{-1} runs down b[j + s:, j], column n1 + j' along b[j', j' + 1 - s:]
             s, n1, n2 = 1 - m % 2, (m + 1) // 2, m // 2
             b = arf.reshape(-1, m + s).T
@@ -733,9 +745,7 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
                 sq[:n2] -= upper  # exact: leaves zeros where the trailing triangle was
                 diag[start : start + sq.shape[1]] = sq.sum(axis=0)  # stops at n1
         else:
-            inv, name, info = _rfp_lapack("pftri", arf, m)
-            if info != 0:
-                raise NumericalError(f"inverting I + snr R failed ({name} info {info})")
+            inv = _lapack("pftri", "inverting I + snr R", b"N", b"L", m, arf)[0]
             if user_side:
                 i = np.arange(m)
                 diag[:] = _rfp_entries(inv, m, i, i).real

@@ -57,7 +57,7 @@ def sweep_svg(table: SweepTable, ebn0_db: float) -> str:
     xs = [x for pts in series.values() for x, _ in pts]
     ys = [y for pts in series.values() for _, y in pts]
     x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = 0.0, max(ys) * 1.06
+    y_lo, y_hi = 0.0, max(ys) * 1.06 or 1.0  # every rate is 0 at Eb/N0 <= ln 2
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
 

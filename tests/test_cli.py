@@ -148,6 +148,14 @@ class TestSweep:
         root = ET.fromstring(out)
         assert root.tag.endswith("svg")
 
+    def test_svg_with_every_rate_zero(self, capsys):
+        # at Eb/N0 <= ln 2 (-1.59 dB) no scheme carries a positive rate, so the y range is empty
+        code, out, err = run(capsys, "sweep", "--d", "2", "--ebn0-db", "-5",
+                             "--beta-min", "1", "--beta-max", "2", "--format", "svg")
+        assert (code, err) == (0, "")
+        polylines = [e for e in ET.fromstring(out).iter() if e.tag.endswith("polyline")]
+        assert polylines
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, *self.ARGS, "--out", str(target))
@@ -203,6 +211,12 @@ class TestMonteCarlo:
         assert out1 == out2
         _, out3, _ = run(capsys, *self.ARGS[:-1], "4")
         assert out3 != out1
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "montecarlo", "--d", "3", "--beta-d", "6", "--snr-db", "10",
+                             "--n", "60", "--trials", "2", "--seed", "-1")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: seed must be >= 0")
 
     def test_receiver_selection(self, capsys):
         _, out, _ = run(capsys, *self.ARGS, "--receiver", "opt", "--no-ks")

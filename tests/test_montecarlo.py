@@ -4,6 +4,7 @@ import ctypes
 import dataclasses
 import functools
 import math
+import re
 import sys
 import tracemalloc
 import types
@@ -17,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 from sparse_noma import (
     ConfigurationError, DomainError, GenerationError, NumericalError, SystemConfig, spectral_density,
 )
-from sparse_noma.capacity import capacity_lmmse, capacity_optimum, lmmse_error
+from sparse_noma.capacity import _cavity, capacity_lmmse, capacity_optimum, lmmse_error
 from sparse_noma import montecarlo
 from sparse_noma.checks import MC_CONFIGS
 from sparse_noma.montecarlo import (
@@ -378,6 +379,15 @@ class TestCapacityEstimators:
         b = empirical_capacity_opt(40, cfg, trials=5, seed=11)
         assert a.samples == b.samples
 
+    def test_negative_seed_is_a_configuration_error(self):
+        # numpy's SeedSequence rejects it; both estimators and the comparison say so in the package's terms
+        cfg = SystemConfig(3, 6, 10.0)
+        for run in (empirical_capacity_opt, empirical_capacity_lmmse):
+            with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+                run(60, cfg, trials=2, seed=-1)
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            compare_to_closed_form("optimum", cfg, n_resources=60, trials=2, seed=-1)
+
     def test_phase_scheme_insensitivity(self):
         # the limit only needs unit-circle weights, so every scheme converges
         # to the same value; at finite size they differ by an O(1/N) bias
@@ -546,6 +556,25 @@ class TestFactorFailures:
         with pytest.raises(NumericalError, match="pftrf"):
             montecarlo._cholesky(sig, -1.0)
 
+    def test_failed_cholesky_without_lapacke_is_numerical_error(self, monkeypatch):
+        # the same pivot through scipy.linalg's f2py pftrf
+        monkeypatch.setattr(montecarlo, "_lapacke", lambda: None)
+        sig = generate_signature(24, 2, 4, seed=22)
+        with pytest.raises(NumericalError, match=r"Cholesky factorization of I \+ snr R failed \(zpftrf info [1-9]"):
+            montecarlo._cholesky(sig, -1.0)
+
+    @pytest.mark.parametrize("name, d, bd, failure", [
+        ("zpftrf", 3, 6, "Cholesky factorization of I + snr R"), ("dpftrf", 3, 6, "Cholesky factorization of I + snr R"),
+        ("zpftri", 3, 6, "inverting I + snr R"), ("dpftri", 3, 6, "inverting I + snr R"),  # resource side
+        ("ztftri", 3, 2, "inverting the Cholesky factor"), ("dtftri", 3, 2, "inverting the Cholesky factor"),
+        ("zheevd_2stage", 3, 6, "eigensolve"), ("dsyevd_2stage", 3, 6, "eigensolve"),
+    ])
+    def test_routine_failure_names_the_routine(self, monkeypatch, name, d, bd, failure):
+        sig = generate_signature(60, d, bd, "uniform" if name[0] == "z" else "binary", seed=21)
+        monkeypatch.setitem(montecarlo._lapacke(), name, lambda *args: -5)
+        with pytest.raises(NumericalError, match=re.escape(f"{failure} failed ({name} info -5)")):
+            empirical_spectrum(sig) if failure == "eigensolve" else lmmse_diagonal(sig, 10.0)
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("n, d, bd", [(30, 3, 2), (24, 2, 4)])
     def test_infinite_snr_is_numerical_error(self, n, d, bd):
@@ -603,48 +632,36 @@ class TestRfpRoutes:
 
     def test_tftri_binds_on_this_platform(self):
         # a silent fallback would keep every result and lose the speed, or load scipy.linalg
-        for name in ("ztftri", "dtftri"):
-            assert montecarlo._lapacke(name, "icccip") is not None
-        for name in ("zpftrf", "dpftrf", "zpftri", "dpftri"):
-            assert montecarlo._lapacke(name, "iccip") is not None
+        assert sorted(montecarlo._lapacke()) == sorted([
+            "zpftrf", "dpftrf", "zpftri", "dpftri", "ztftri", "dtftri", "zheevd_2stage", "dsyevd_2stage",
+        ])
 
-    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
-    def test_fallback_without_tftri(self, monkeypatch, scheme):
-        sig = generate_signature(301, 10, 10, scheme, seed=32)
-        direct = lmmse_diagonal(sig, self.SNR)
-        lapacke, asked = montecarlo._lapacke, []
+    @pytest.mark.parametrize("missing", ["ztftri", "dpftri", "dsyevd_2stage"])
+    def test_library_lacking_one_routine_binds_none(self, monkeypatch, missing):
+        # the platform is one decision: a LAPACKE without any one routine runs every route on its fallbacks
+        cdll = ctypes.CDLL
 
-        def without_tftri(name, args):
-            asked.append(name)
-            return None if name.endswith("tftri") else lapacke(name, args)
+        class Lacking:
+            def __init__(self, path):
+                self.lib = cdll(path)
 
-        monkeypatch.setattr(montecarlo, "_lapacke", without_tftri)
-        assert np.allclose(lmmse_diagonal(sig, self.SNR), direct, rtol=1e-12, atol=0.0)
-        kind = "z" if scheme == "uniform" else "d"
-        assert asked == [kind + "pftrf", kind + "tftri", kind + "pftri"]
+            def __getattr__(self, symbol):
+                if symbol.endswith("LAPACKE_" + missing):
+                    raise AttributeError(symbol)
+                return getattr(self.lib, symbol)
+
+        montecarlo._lapacke.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", Lacking)
+        try:
+            assert montecarlo._lapacke() is None
+            assert empirical_spectrum(generate_signature(60, 3, 6, seed=34)).driver == "eigvalsh"
+        finally:
+            montecarlo._lapacke.cache_clear()
 
     def test_tftri_failure_is_numerical_error(self, monkeypatch):
-        lapacke = montecarlo._lapacke
-        monkeypatch.setattr(montecarlo, "_lapacke",
-                            lambda name, args: (lambda *a: -5) if name.endswith("tftri") else lapacke(name, args))
+        monkeypatch.setitem(montecarlo._lapacke(), "ztftri", lambda *args: -5)
         with pytest.raises(NumericalError, match="ztftri info -5"):
             lmmse_diagonal(generate_signature(30, 3, 2, seed=13), self.SNR)
-
-    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
-    @pytest.mark.parametrize("d, bd, n", [(10, 10, 301), (3, 6, 300)])  # user side (tftri), resource side (pftri)
-    def test_fallback_without_lapacke_rfp(self, monkeypatch, d, bd, n, scheme):
-        # where LAPACKE lacks pftrf and pftri, scipy.linalg's wrappers run the same kernels
-        cfg = SystemConfig(d, bd, self.SNR)
-
-        def estimates():
-            return [run(n, cfg, trials=1, seed=33, phase_scheme=scheme).estimate
-                    for run in (empirical_capacity_opt, empirical_capacity_lmmse)]
-
-        direct = estimates()
-        lapacke = montecarlo._lapacke
-        monkeypatch.setattr(montecarlo, "_lapacke",
-                            lambda name, args: None if name[1:] in ("pftrf", "pftri") else lapacke(name, args))
-        assert estimates() == pytest.approx(direct, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("scheme", ["uniform", "binary"])
     @pytest.mark.parametrize("d, bd, n", [(3, 6, 300), (10, 10, 301), (3, 2, 300)])
@@ -660,7 +677,7 @@ class TestRfpRoutes:
                      for run in (empirical_capacity_opt, empirical_capacity_lmmse)])
 
         spectrum, diag, estimates = results()
-        monkeypatch.setattr(montecarlo, "_lapacke", lambda name, args: None)
+        monkeypatch.setattr(montecarlo, "_lapacke", lambda: None)
         bare_spectrum, bare_diag, bare_estimates = results()
         assert bare_spectrum.driver == "eigvalsh"
         top = spectrum.eigenvalues[-1]
@@ -693,15 +710,6 @@ def nonbacktracking(sig, rho):
     return b
 
 
-def cavity_point(d, bd, snr):
-    """(P_u, P_r): the positive root of P_r^2 - (1 - (1 - beta) snr) P_r - alpha snr, without cancellation."""
-    alpha, beta = (d - 1) / d, bd / d
-    h = (1.0 - (1.0 - beta) * snr) / 2.0
-    root = math.sqrt(h * h + alpha * snr)
-    p_r = h + root if h >= 0.0 else alpha * snr / (root - h)
-    return 1.0 + alpha * snr / p_r, p_r
-
-
 class TestBetheZeta:
     """On every draw, log det(I + c G) = N C_opt + log det(I - B) in nats, B the weighted non-backtracking matrix.
 
@@ -726,7 +734,7 @@ class TestBetheZeta:
             cfg = SystemConfig(d, bd, snr)
             logdet = empirical_capacity_opt(n, cfg, trials=1, seed=self.SEED, phase_scheme=scheme).estimate
             logdet *= n * math.log(2.0)
-            p_u, p_r = cavity_point(d, bd, snr)
+            p_u, p_r = _cavity((d - 1) / d, bd / d, snr)
             sign, loops = np.linalg.slogdet(identity - nonbacktracking(sig, -snr / d / (p_u * p_r)))
             assert abs(sign - 1.0) <= 1e-12  # det(I - B) = det(I + c G) e^{-N C_opt} > 0
             bethe = n * capacity_optimum(cfg).spectral_efficiency * math.log(2.0)
@@ -740,10 +748,10 @@ class TestMmseIdentity:
     side: d/dsnr log det(I + c G) = (K - sum_k mmse_k)/snr.  B is linear in
     rho, B = B(0) + rho U, so d/dsnr log det(I - B) = -rho' tr((I - B)^{-1} U),
     with rho' from the cavity quadratic, no finite difference.  The sum is
-    lmmse_diagonal's on every route: tftri at (3,2) and (10,10), its pftri
-    fallback, pftri on the resource side at (3,6), the cycles at (2,2).  Each
-    N gives 2E = 1200; the worst relative error seen is 1.7e-14, at snr = 1e3,
-    where the sum is near 2.
+    lmmse_diagonal's on every route: tftri at (3,2) and (10,10), the pftri
+    diagonal that replaces it without LAPACKE, pftri on the resource side at
+    (3,6), the cycles at (2,2).  Each N gives 2E = 1200; the worst relative
+    error seen is 1.7e-14, at snr = 1e3, where the sum is near 2.
     """
 
     SEED = 41
@@ -752,7 +760,7 @@ class TestMmseIdentity:
     def cavity_slope(d, bd, snr):
         """(P_r, rho, d rho/d snr), rho = -c/(P_u P_r) with P_u P_r = P_r + alpha snr."""
         alpha, beta = (d - 1) / d, bd / d
-        _, p_r = cavity_point(d, bd, snr)
+        _, p_r = _cavity(alpha, beta, snr)
         # P_r' from differentiating the quadratic; its root is P_r - h
         h = (1.0 - (1.0 - beta) * snr) / 2.0
         dp_r = (alpha - (1.0 - beta) * p_r) / (2.0 * (p_r - h))
@@ -779,9 +787,7 @@ class TestMmseIdentity:
     @pytest.mark.parametrize("scheme", ["uniform", "binary"])
     @pytest.mark.parametrize("d, bd, n", [(3, 2, 300), (10, 10, 60)])
     def test_pftri_fallback(self, monkeypatch, d, bd, n, scheme):
-        lapacke = montecarlo._lapacke
-        monkeypatch.setattr(montecarlo, "_lapacke",
-                            lambda name, args: None if name.endswith("tftri") else lapacke(name, args))
+        monkeypatch.setattr(montecarlo, "_lapacke", lambda: None)
         self.check(d, bd, n, scheme)
 
 
@@ -889,15 +895,9 @@ def eigvalsh_spectrum(sig):
     return np.sort(np.clip(eigs, 0.0, None))
 
 
-def with_eigenvalue_driver(driver):
-    """_lapacke with both two-stage drivers replaced by driver (None: absent); every other name binds as before."""
-    lapacke = montecarlo._lapacke
-    return lambda name, args: driver if name in ("zheevd_2stage", "dsyevd_2stage") else lapacke(name, args)
-
-
 def moved_eigenvalue_driver(delta):
-    """_lapacke whose two-stage complex driver adds delta to the smallest and subtracts it from the largest value."""
-    real = montecarlo._lapacke("zheevd_2stage", "iccipip")
+    """The two-stage complex driver, adding delta to the smallest and subtracting it from the largest value."""
+    real = montecarlo._lapacke()["zheevd_2stage"]
 
     def moved(layout, jobz, uplo, n, a, lda, w):
         info = real(layout, jobz, uplo, n, a, lda, w)
@@ -906,11 +906,11 @@ def moved_eigenvalue_driver(delta):
         lam[-1] -= delta
         return info
 
-    return with_eigenvalue_driver(moved)
+    return moved
 
 
 class TestEigensolveDriver:
-    """The two-stage LAPACK route against numpy.linalg.eigvalsh, its fallback and its guards."""
+    """The two-stage LAPACK route against numpy.linalg.eigvalsh, and its guards."""
 
     @pytest.mark.parametrize("kind", list(MATRICES))
     @pytest.mark.parametrize("complex_", [False, True])
@@ -949,17 +949,8 @@ class TestEigensolveDriver:
         for scheme, driver in (("uniform", "zheevd_2stage"), ("binary", "dsyevd_2stage")):
             assert empirical_spectrum(generate_signature(60, 3, 6, scheme, seed=24)).driver == driver
 
-    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
-    def test_fallback_without_the_driver(self, monkeypatch, scheme):
-        sig = generate_signature(300, 3, 6, scheme, seed=25)
-        two_stage = empirical_spectrum(sig).eigenvalues
-        monkeypatch.setattr(montecarlo, "_lapacke", with_eigenvalue_driver(None))
-        fallback = empirical_spectrum(sig)
-        assert fallback.driver == "eigvalsh"
-        assert np.max(np.abs(fallback.eigenvalues - two_stage)) <= 1e-12 * max(1.0, two_stage[-1])
-
     def test_driver_failure_is_numerical_error(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_lapacke", with_eigenvalue_driver(lambda *args: -5))
+        monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", lambda *args: -5)
         with pytest.raises(NumericalError, match="zheevd_2stage info -5"):
             empirical_spectrum(generate_signature(60, 3, 6, seed=26))
 
@@ -967,9 +958,9 @@ class TestEigensolveDriver:
         # the trace and so the mean check stay intact; only the second identity sees the move
         sig = generate_signature(60, 3, 6, seed=27)
         unmoved, moved = moved_eigenvalue_driver(0.0), moved_eigenvalue_driver(1e-6)
-        monkeypatch.setattr(montecarlo, "_lapacke", unmoved)
+        monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", unmoved)
         empirical_spectrum(sig)
-        monkeypatch.setattr(montecarlo, "_lapacke", moved)
+        monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", moved)
         with pytest.raises(NumericalError, match="squared eigenvalues"):
             empirical_spectrum(sig)
 
