@@ -159,8 +159,9 @@ def solve_rate_at_ebn0(
     steps clipped so no width exceeds bisection's one step earlier, hence at
     most one evaluation more than bisection to that width (about 16, not 45,
     on the sweep lattice).  It returns the midpoint, within 0.5e-12 * max(1,
-    lo) of the root, and raises `NumericalError` if the residual there passes
-    1e-10 * max(1, rate/100) bits, at least twice that.
+    lo) of the root.  It raises `NumericalError` if rate_fn gives a
+    non-finite value, or if the residual at the midpoint passes 1e-10 *
+    max(1, rate/100) bits, at least twice that.
     """
     beta = float(beta)
     ebn0 = float(ebn0)
@@ -179,7 +180,10 @@ def solve_rate_at_ebn0(
 
     def shortfall(r: float) -> float:
         calls.append(r)
-        return r - rate_fn(r * ebn0 / beta)
+        value = rate_fn(r * ebn0 / beta)
+        if not math.isfinite(r - value):
+            raise NumericalError(f"rate function gave {value!r} at rate {r!r} for scheme={scheme!r}")
+        return r - value
 
     lo = 1e-18
     if (f_lo := shortfall(lo)) >= 0.0:
@@ -214,7 +218,7 @@ def solve_rate_at_ebn0(
     rate = 0.5 * (lo + hi)
     snr = rate * ebn0 / beta
     tol = _RATE_RESIDUAL_TOL * max(1.0, rate / 100.0)
-    if abs(rate - rate_fn(snr)) > tol:
+    if not abs(rate - rate_fn(snr)) <= tol:
         raise NumericalError(
             f"fixed-point residual above {tol:g} for scheme={scheme!r}, "
             f"beta={beta!r}, ebn0={ebn0!r}"
@@ -297,6 +301,9 @@ def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
     betas = sorted({float(b) for b in beta_grid})
     if not betas:
         raise ConfigurationError("beta_grid is empty")
+    for b in betas:
+        if not math.isfinite(b):
+            raise ConfigurationError(f"loads must be finite, got {b!r}")
     if betas[0] <= 0.0:
         raise ConfigurationError(f"loads must be positive, got {betas[0]!r}")
     lo, hi = betas[0], betas[-1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Any, Iterable, Iterator
@@ -161,6 +162,9 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    for flag, value in (("--beta-min", args.beta_min), ("--beta-max", args.beta_max)):
+        if not math.isfinite(value):  # before linspace, which spreads an infinite end into NaN loads
+            raise ConfigurationError(f"{flag} must be finite, got {value!r}")
     if args.beta_max < args.beta_min:
         raise ConfigurationError(
             f"--beta-max {args.beta_max!r} is below --beta-min {args.beta_min!r}"

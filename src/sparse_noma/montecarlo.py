@@ -25,16 +25,20 @@ read through _rfp_entries; the tftri route sums squared moduli of whole
 columns, which need no conjugation.  The dense copy and the RFP array each
 live in an anonymous mapping of their own, unmapped when freed, the copy on
 base pages with each column's lower part ending on a page boundary and the
-RFP array on huge pages; _mapped_zeros and _eigvalsh give the reasons.
-Every LAPACK routine is called through one helper (_lapack) at its LAPACKE
-entry point.  _lapacke binds them all at once with ctypes from the LAPACK
-library scipy links, which is opened by path, so no route imports the
-scipy.linalg package.  The platform is one decision: a scipy whose LAPACKE
-lacks any of the routines runs every route on its fallbacks
-(numpy.linalg.eigvalsh, scipy.linalg's pftrf and pftri, and the pftri
-diagonal for the MMSE values).  scipy.sparse is imported only by the public
-to_sparse, which no route here calls; importing this module, the CLI's
-closed-form commands and `validate --quick` load numpy only.
+RFP array on huge pages; _mapped_zeros and _dense_lower give the reasons.
+The Gram triplets are freed before either array goes to LAPACK.  Every
+LAPACK routine is called through one helper (_lapack) at its LAPACKE entry
+point.  _lapacke binds them all at once with ctypes from the OpenBLAS numpy
+itself links (ILP64: 64-bit lapack_int, scipy_LAPACKE_<name>64_ symbols),
+opened through numpy's _multiarray_umath extension, so no Monte Carlo route
+imports scipy or maps a second BLAS.  If that library lacks any routine,
+the LP64 LAPACK scipy links is tried, opened by path without importing
+scipy.linalg.  The platform is one decision: without a library that has
+them all, every route runs on its fallbacks (numpy.linalg.eigvalsh,
+scipy.linalg's pftrf and pftri, and the pftri diagonal for the MMSE
+values).  scipy.sparse is imported only by the public to_sparse, which no
+route here calls; importing this module, the CLI's closed-form commands and
+`validate --quick` load numpy only.
 
 At d = beta_d = 2 the graph is a disjoint union of cycles, and on a cycle of
 L users with flux phi the Gram's eigenvalues are 2 + 2 cos((phi + 2 pi k)/L)
@@ -56,6 +60,7 @@ import functools
 import math
 import mmap
 import os
+import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 from importlib.machinery import EXTENSION_SUFFIXES
@@ -445,8 +450,8 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     LAPACK pftrf factors in place: m(m+1)/2 entries, 8 m(m+1) bytes for
     complex weights and half that for real ones, where a full m x m copy
     would take 16 m^2.  The array has a mapping of its own on huge pages
-    (_mapped_zeros).  Callers read the factor's diagonal through
-    _rfp_entries.
+    (_mapped_zeros), and the triplets and their positions are freed before
+    pftrf runs.  Callers read the factor's diagonal through _rfp_entries.
     """
     i, j, v, user_side = _gram_lower(sig)
     m = sig.n_users if user_side else sig.n_resources
@@ -455,6 +460,7 @@ def _cholesky(sig: SignatureMatrix, snr: float) -> tuple[np.ndarray, bool]:
     pos, conj = _rfp_positions(m, i, j)
     arf = _mapped_zeros(m * (m + 1) // 2, v.dtype, huge_pages=True)
     arf[pos] = np.where(conj, v.conj(), v)
+    del i, j, v, pos, conj
     return _lapack("pftrf", "Cholesky factorization of I + snr R", b"N", b"L", m, arf)[0], user_side
 
 
@@ -492,46 +498,83 @@ def _cycles(sig: SignatureMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order // 2, starts, 2.0 + 2.0 * np.cos(theta)
 
 
-_C_ARGS = {"i": ctypes.c_int, "c": ctypes.c_char, "p": ctypes.c_void_p}
-# each routine the routes call: its LAPACKE argument types, one letter each (i int, c char,
-# p pointer), then its complex and real names
+# each routine the routes call: its LAPACKE argument types after the layout, one letter each
+# (i lapack_int, c char, p pointer), then its complex and real names
 _LAPACKE_ROUTINES = {
-    "pftrf": ("iccip", "zpftrf", "dpftrf"),  # (layout, transr, uplo, n, a)
-    "pftri": ("iccip", "zpftri", "dpftri"),
-    "tftri": ("icccip", "ztftri", "dtftri"),  # (layout, transr, uplo, diag, n, a)
-    "heevd_2stage": ("iccipip", "zheevd_2stage", "dsyevd_2stage"),  # (layout, jobz, uplo, n, a, lda, w)
+    "pftrf": ("ccip", "zpftrf", "dpftrf"),  # (transr, uplo, n, a)
+    "pftri": ("ccip", "zpftri", "dpftri"),
+    "tftri": ("cccip", "ztftri", "dtftri"),  # (transr, uplo, diag, n, a)
+    "heevd_2stage": ("ccipip", "zheevd_2stage", "dsyevd_2stage"),  # (jobz, uplo, n, a, lda, w)
 }
+
+
+def _numpy_extension() -> str | None:
+    """Path of numpy's _multiarray_umath extension, which links numpy's BLAS and LAPACK.
+
+    `import numpy` has loaded it, as numpy._core._multiarray_umath on
+    numpy 2 and numpy.core._multiarray_umath on numpy 1.x; the other name,
+    if loaded, is a Python stub.
+    """
+    for name in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        path = getattr(sys.modules.get(name), "__file__", None) or ""
+        if path.endswith(tuple(EXTENSION_SUFFIXES)):
+            return path
+    return None
+
+
+def _scipy_extension() -> str | None:
+    """Path of scipy.linalg.cython_lapack's extension, which links scipy's LAPACK, found without importing scipy.linalg."""
+    import scipy
+
+    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "cython_lapack")
+    return next((stem + ext for ext in EXTENSION_SUFFIXES if os.path.exists(stem + ext)), None)
+
+
+# the LAPACKs _lapacke tries, in order: where the library is, the names it may export a routine
+# under, and its lapack_int.  numpy's scipy-openblas is ILP64 and suffixes its symbols 64_.
+_LAPACK_LIBRARIES = (
+    (_numpy_extension, ("scipy_LAPACKE_{}64_",), ctypes.c_int64),
+    (_scipy_extension, ("scipy_LAPACKE_{}", "LAPACKE_{}"), ctypes.c_int),
+)
+
+
+def _bind(path: str | None, symbols: tuple[str, ...], lapack_int) -> dict[str, Callable[..., int]] | None:
+    """Every routine of _LAPACKE_ROUTINES from the library at path, by name, or None if it lacks any one."""
+    if path is None:
+        return None
+    lib = ctypes.CDLL(path)
+    types = {"i": lapack_int, "c": ctypes.c_char, "p": ctypes.c_void_p}
+    bound = {}
+    for args, *names in _LAPACKE_ROUTINES.values():
+        for name in names:
+            fn = next(filter(None, (getattr(lib, sym.format(name), None) for sym in symbols)), None)
+            if fn is None:
+                return None
+            fn.argtypes = [ctypes.c_int] + [types[t] for t in args]  # the layout is a C int
+            fn.restype = lapack_int
+            bound[name] = fn
+    return bound
 
 
 @functools.cache
 def _lapacke() -> dict[str, Callable[..., int]] | None:
-    """Every LAPACKE routine the routes call, in both precisions, as ctypes functions returning int, by name.
+    """Every LAPACKE routine the routes call, in both precisions, as ctypes functions returning info, by name.
 
-    None if scipy has no LAPACK library or it lacks any one of them: the
+    Bound on first call from the first library of _LAPACK_LIBRARIES that
+    exports all of them: the OpenBLAS numpy itself links, else the LP64
+    LAPACK scipy links.  Either is opened by the path of an extension that
+    is already loaded or never imported, and dlsym also searches its
+    dependencies.  Through numpy's library no route imports scipy or maps
+    a second BLAS; on a 2-vCPU host its ILP64 OpenBLAS 0.3.31 ran the
+    m = 2000 eigensolve 3% (complex) to 7% (real) slower than scipy's LP64
+    0.3.30 (BENCH_32.json).  None if neither library has every routine: the
     platform is decided once, so each route asks only whether this is None.
-    Bound on first call from the LP64 LAPACK scipy links, through the
-    extension library of scipy.linalg.cython_lapack, which is opened by its
-    path and never imported: importing the scipy.linalg package would load
-    about 8 MB of modules and libraries that no route here uses, where the
-    library alone costs about 2 MB.  dlsym also searches its dependencies.
     """
-    import scipy
-
-    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "cython_lapack")
-    path = next((stem + ext for ext in EXTENSION_SUFFIXES if os.path.exists(stem + ext)), None)
-    if path is None:
-        return None
-    lib = ctypes.CDLL(path)
-    bound = {}
-    for args, *names in _LAPACKE_ROUTINES.values():
-        for name in names:
-            fn = getattr(lib, "scipy_LAPACKE_" + name, None) or getattr(lib, "LAPACKE_" + name, None)
-            if fn is None:
-                return None
-            fn.argtypes = [_C_ARGS[t] for t in args]
-            fn.restype = ctypes.c_int
-            bound[name] = fn
-    return bound
+    for find, symbols, lapack_int in _LAPACK_LIBRARIES:
+        bound = _bind(find(), symbols, lapack_int)
+        if bound is not None:
+            return bound
+    return None
 
 
 def _lapack(routine: str, failure: str, *args) -> tuple[np.ndarray, str]:
@@ -542,8 +585,8 @@ def _lapack(routine: str, failure: str, *args) -> tuple[np.ndarray, str]:
     dtype picks the complex or the real name (_LAPACKE_ROUTINES).  info != 0
     raises NumericalError "<failure> failed (<name> info <info>)".  Without
     LAPACKE only pftrf and pftri reach here, on (TRANSR='N', UPLO='L', n, a),
-    and scipy.linalg's f2py wrappers run them: the only place the Monte
-    Carlo routes import scipy.linalg.  The wrapper may return a copy.
+    and scipy.linalg's f2py wrappers run them: the only place a Monte Carlo
+    route imports scipy.  The wrapper may return a copy.
     """
     a = next(x for x in args if isinstance(x, np.ndarray))
     name = _LAPACKE_ROUTINES[routine][1 if np.iscomplexobj(a) else 2]
@@ -559,22 +602,22 @@ def _lapack(routine: str, failure: str, *args) -> tuple[np.ndarray, str]:
     return a, name
 
 
-def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float) -> tuple[np.ndarray, str]:
-    """Ascending eigenvalues of the m x m Hermitian G / scale, and the driver that computed them.
+def _dense_lower(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float) -> np.ndarray:
+    """The m x m Hermitian G / scale as a column-major copy holding only its lower triangle.
 
     G is given by its lower triangle as triplets (i, j, v), i >= j, the form
-    _gram_lower returns; both drivers read only that triangle, so the upper
-    one of the dense copy stays zero.  The copy, 16 m^2 bytes for complex
-    weights, has a mapping of its own on base pages (_mapped_zeros), so
-    only the pages the lower triangle spans become resident.  Its leading
-    dimension is m rounded up to a whole page of elements (256 complex or
-    512 real values on 4 KiB pages) and it starts lda - m elements into the
-    mapping, so every column's lower part ends on a page boundary and only
-    its first page is partly outside the triangle: at m = 2000 with complex
-    weights 34.5 MiB of pages become resident for a 30.5 MiB triangle, where
-    lda = m touched 37.6 MiB.  The eigenvalues do not depend on lda.
+    _gram_lower returns; both eigen drivers read only that triangle, so the
+    upper one stays zero.  The copy, 16 m^2 bytes for complex weights, has a
+    mapping of its own on base pages (_mapped_zeros), so only the pages the
+    lower triangle spans become resident.  Its leading dimension is m
+    rounded up to a whole page of elements (256 complex or 512 real values
+    on 4 KiB pages) and it starts lda - m elements into the mapping, so
+    every column's lower part ends on a page boundary and only its first
+    page is partly outside the triangle: at m = 2000 with complex weights
+    34.5 MiB of pages become resident for a 30.5 MiB triangle, where lda = m
+    touched 37.6 MiB.  The eigenvalues do not depend on lda.
     """
-    # the driver reads a as float64 or complex128 in column-major order
+    # the drivers read a as float64 or complex128 in column-major order
     dtype = np.dtype(complex if np.iscomplexobj(v) else float)
     pad = -m % (mmap.PAGESIZE // dtype.itemsize)
     lda = m + pad
@@ -582,9 +625,19 @@ def _eigvalsh(m: int, i: np.ndarray, j: np.ndarray, v: np.ndarray, scale: float)
     # by the reciprocal, as scipy.sparse scales: at exactly degenerate eigenvalues a last-digit
     # change of an entry can move a KS distance by about 1e-8
     a[i, j] = v * (1.0 / scale)
+    return a
+
+
+def _eigvalsh(a: np.ndarray) -> tuple[np.ndarray, str]:
+    """Ascending eigenvalues of the Hermitian matrix whose lower triangle _dense_lower put in a, and the driver that ran.
+
+    LAPACK's two-stage ?heevd_2stage overwrites a; numpy.linalg.eigvalsh,
+    the driver without LAPACKE, reads it.
+    """
     if _lapacke() is None:
         return np.linalg.eigvalsh(a), "eigvalsh"
-    w = np.empty(m)  # eigenvalues only, lower triangle; overwrites a
+    m, lda = len(a), a.strides[1] // a.itemsize
+    w = np.empty(m)  # eigenvalues only, lower triangle
     return w, _lapack("heevd_2stage", "eigensolve", b"N", b"L", m, a, lda, w)[1]
 
 
@@ -600,14 +653,18 @@ def empirical_spectrum(sig: SignatureMatrix) -> EmpiricalSpectrum:
     of the largest eigenvalue).  The dense copy is filled from the Gram's
     lower-triangle triplets (_gram_lower), which also give the squared
     Frobenius norm: the mean and the sum of squares of the eigenvalues are
-    checked against the trace and that norm.
+    checked against the trace and that norm.  The norm is taken first, so
+    the triplets are freed before the eigensolve runs.
     """
     n, k = sig.n_resources, sig.n_users
     i, j, v, _ = _gram_lower(sig)
+    frobenius = _frobenius_sq(i, j, v) / sig.d**2
     if sig.d == sig.beta_d == 2:
         eigs, driver = _cycles(sig)[2] / sig.d, "cycles"
     else:
-        eigs, driver = _eigvalsh(min(n, k), i, j, v, sig.d)
+        a = _dense_lower(min(n, k), i, j, v, sig.d)
+        del i, j, v
+        eigs, driver = _eigvalsh(a)
     if k < n:
         eigs = np.concatenate([np.zeros(n - k), eigs])
     # the Gram matrix is PSD; negatives are eigensolver noise
@@ -615,7 +672,6 @@ def empirical_spectrum(sig: SignatureMatrix) -> EmpiricalSpectrum:
     beta = sig.beta_d / sig.d
     if abs(float(np.mean(eigs)) - beta) > _TRACE_TOL:
         raise NumericalError("trace identity violated: mean eigenvalue differs from beta")
-    frobenius = _frobenius_sq(i, j, v) / sig.d**2
     if abs(float(np.sum(eigs**2)) - frobenius) > _TRACE_TOL * frobenius:
         raise NumericalError("trace identity violated: squared eigenvalues do not sum to ||G||_F^2/d^2")
     return EmpiricalSpectrum(eigenvalues=eigs, n_resources=n, n_users=k, driver=driver)

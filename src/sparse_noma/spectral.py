@@ -356,10 +356,13 @@ def limiting_cdf(density: SpectralDensity, lam) -> np.ndarray:
 
     Builds the panels once for f = 1; each query adds the mass of the panels
     to its left and a 64-node rule from its own panel's left end, so every
-    point is accurate to about 1e-12.
+    point is accurate to about 1e-12.  -inf and inf give exactly 0 and 1; a
+    NaN query raises DomainError.
     """
     span = density.lambda_plus - density.lambda_minus
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if np.isnan(lam).any():
+        raise DomainError("lambda must not be NaN")
     out = np.zeros(lam.shape)
     out[lam >= 0.0] = density.point_mass_at_zero
     out[lam >= density.lambda_plus] = 1.0

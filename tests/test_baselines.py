@@ -196,6 +196,12 @@ class TestRateSolver:
         assert pt.rate == 0.0 and pt.snr == 0.0
         assert pt.below_threshold
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_rate_is_numerical_error(self, value):
+        # a NaN shortfall compares False with everything, so neither the bracket nor the residual bar sees it
+        with pytest.raises(NumericalError, match="rate function gave"):
+            solve_rate_at_ebn0(lambda snr: value, 1.0, 10.0)
+
     def test_rate_vanishes_near_threshold(self):
         ebn0 = math.log(2.0) * (1.0 + 1e-6)
         pt = solve_rate_at_ebn0(
@@ -410,6 +416,11 @@ class TestSweepLoad:
             sweep_load(10, 10.0, [0.05, 0.15])
         with pytest.raises(ConfigurationError, match="empty"):
             sweep_load(2, 10.0, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_load_is_a_configuration_error(self, bad):
+        with pytest.raises(ConfigurationError, match="loads must be finite"):
+            sweep_load(2, 10.0, [0.5, bad])
 
     def test_sparse_beats_dense_at_lattice(self):
         table = sweep_load(2, 10.0, [1.0, 1.5, 2.0, 2.5, 3.0])

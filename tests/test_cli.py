@@ -171,6 +171,13 @@ class TestSweep:
         assert code == 2
         assert "beta-max" in err
 
+    @pytest.mark.parametrize("ends", [("nan", "1"), ("0.5", "inf")])
+    def test_non_finite_load_exits_2(self, capsys, ends):
+        code, out, err = run(capsys, "sweep", "--d", "2", "--ebn0-db", "10",
+                             "--beta-min", ends[0], "--beta-max", ends[1])
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "must be finite" in err
+
     @pytest.mark.parametrize("d", ["2", "3", "10"])
     def test_high_ebn0_solves_every_point(self, capsys, d):
         # at Eb/N0 = 60 dB the overloaded sparse-optimum fixed points sit near

@@ -631,14 +631,18 @@ class TestRfpRoutes:
         assert run_probe(probe).split() == ["zheevd_2stage", "1", "1", "120"]
 
     def test_tftri_binds_on_this_platform(self):
-        # a silent fallback would keep every result and lose the speed, or load scipy.linalg
-        assert sorted(montecarlo._lapacke()) == sorted([
+        # a silent fallback would keep every result and lose the speed, or load scipy; numpy's
+        # OpenBLAS is ILP64, so every routine returns a 64-bit lapack_int
+        bound = montecarlo._lapacke()
+        assert sorted(bound) == sorted([
             "zpftrf", "dpftrf", "zpftri", "dpftri", "ztftri", "dtftri", "zheevd_2stage", "dsyevd_2stage",
         ])
+        assert {fn.__name__ for fn in bound.values()} == {f"scipy_LAPACKE_{name}64_" for name in bound}
+        assert {ctypes.sizeof(fn.restype) for fn in bound.values()} == {8}
 
-    @pytest.mark.parametrize("missing", ["ztftri", "dpftri", "dsyevd_2stage"])
-    def test_library_lacking_one_routine_binds_none(self, monkeypatch, missing):
-        # the platform is one decision: a LAPACKE without any one routine runs every route on its fallbacks
+    @staticmethod
+    def bind_lacking(monkeypatch, symbols):
+        """_lapacke() rebound with every library hiding the given symbols."""
         cdll = ctypes.CDLL
 
         class Lacking:
@@ -646,17 +650,76 @@ class TestRfpRoutes:
                 self.lib = cdll(path)
 
             def __getattr__(self, symbol):
-                if symbol.endswith("LAPACKE_" + missing):
+                if symbol in symbols:
                     raise AttributeError(symbol)
                 return getattr(self.lib, symbol)
 
         montecarlo._lapacke.cache_clear()
         monkeypatch.setattr(ctypes, "CDLL", Lacking)
+        return montecarlo._lapacke()
+
+    @pytest.mark.parametrize("missing", ["ztftri", "dpftri", "dsyevd_2stage"])
+    def test_library_lacking_one_routine_binds_none(self, monkeypatch, missing):
+        # the platform is one decision: when neither numpy's nor scipy's library has every routine,
+        # every route runs on its fallbacks
+        symbols = {f"scipy_LAPACKE_{missing}64_", f"scipy_LAPACKE_{missing}", f"LAPACKE_{missing}"}
         try:
-            assert montecarlo._lapacke() is None
+            assert self.bind_lacking(monkeypatch, symbols) is None
             assert empirical_spectrum(generate_signature(60, 3, 6, seed=34)).driver == "eigvalsh"
         finally:
             montecarlo._lapacke.cache_clear()
+
+    @pytest.mark.parametrize("missing", ["ztftri", "dsyevd_2stage"])
+    def test_numpy_library_lacking_one_routine_binds_scipys(self, monkeypatch, missing):
+        # the second row of the candidate table: scipy's LP64 LAPACK, with a 32-bit lapack_int.  Both
+        # libraries are OpenBLAS, so the results agree: to the bit at these sizes with one BLAS thread,
+        # to rounding with more, where the two builds split the work differently
+        def results():
+            out = []
+            for d, bd, n in [(3, 6, 300), (3, 2, 300), (10, 10, 301)]:
+                for scheme in ("uniform", "binary"):
+                    sig = generate_signature(n, d, bd, scheme, np.random.default_rng([self.SEED, 0]))
+                    cfg = SystemConfig(d, bd, self.SNR)
+                    out += [empirical_spectrum(sig).eigenvalues, lmmse_diagonal(sig, self.SNR),
+                            empirical_capacity_opt(n, cfg, trials=1, seed=self.SEED, phase_scheme=scheme).estimate]
+            return out
+
+        want = results()
+        try:
+            bound = self.bind_lacking(monkeypatch, {f"scipy_LAPACKE_{missing}64_"})
+            assert len(bound) == 8
+            assert {ctypes.sizeof(fn.restype) for fn in bound.values()} == {ctypes.sizeof(ctypes.c_int)}
+            assert bound[missing].__name__ in (f"scipy_LAPACKE_{missing}", f"LAPACKE_{missing}")
+            got = results()
+        finally:
+            montecarlo._lapacke.cache_clear()
+        for x, y in zip(got, want):
+            assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
+
+    def test_routes_import_no_scipy_and_map_one_openblas(self, run_probe):
+        # spectrum, log-det and MMSE diagonal on both Gram sides, real and complex weights: with every
+        # routine bound from numpy's own OpenBLAS no scipy module is imported and no second BLAS mapped
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from sparse_noma import SystemConfig, montecarlo as mc\n"
+            "drivers = set()\n"
+            "for d, bd in [(3, 6), (3, 2), (10, 10)]:  # K > N, K < N, K = N\n"
+            "    for scheme in ('uniform', 'binary'):\n"
+            "        sig = mc.generate_signature(60, d, bd, scheme, np.random.default_rng(0))\n"
+            "        drivers.add(mc.empirical_spectrum(sig).driver)\n"
+            "        mc.empirical_capacity_opt(60, SystemConfig(d, bd, 10.0), trials=1, phase_scheme=scheme)\n"
+            "        mc.lmmse_diagonal(sig, 10.0)\n"
+            "print(*sorted(drivers))\n"
+            "print(len([name for name in sys.modules if name.split('.')[0] == 'scipy']))\n"
+            "if sys.platform == 'linux':\n"
+            "    with open('/proc/self/maps') as fh:\n"
+            "        print(len({line.split()[-1] for line in fh if 'openblas' in line.lower()}))\n"
+        )
+        drivers, scipy_modules, *openblas = run_probe(probe).splitlines()
+        assert drivers.split() == ["dsyevd_2stage", "zheevd_2stage"]
+        assert scipy_modules == "0"
+        assert openblas == (["1"] if sys.platform == "linux" else [])
 
     def test_tftri_failure_is_numerical_error(self, monkeypatch):
         monkeypatch.setitem(montecarlo._lapacke(), "ztftri", lambda *args: -5)
@@ -844,6 +907,14 @@ class TestResidentMemory:
         growth = int(run_probe(RSS_PROBE, "spectrum", "2001,3,2", "2001,3,2", "2000,3,6"))
         assert growth <= 0.65 * 16 * m * m
 
+    def test_spectra_free_the_triplets_before_the_eigensolve(self, run_probe):
+        # (10,10), N = 2000: m = 2000 users and 92,000 Gram triplets, 24 bytes each with complex weights;
+        # the growth was 0.673-0.674 x 16 m^2 with the triplets alive during the eigensolve and
+        # 0.656-0.658 x with them freed before it
+        m = 2000
+        growth = int(run_probe(RSS_PROBE, "spectrum", "2001,3,2", "2001,3,2", "2000,10,10"))
+        assert growth <= 0.67 * 16 * m * m
+
     def test_lmmse_peaks_at_one_rfp_factor(self, run_probe):
         # (10,10), N = 2000: m = 2000 users, an 8 m(m+1) = 30.5 MiB complex RFP array; from malloc,
         # with 256-column panels, the growth was 54.2-56.5 MiB, with the mapped array 40.4-42.5 MiB
@@ -920,7 +991,7 @@ class TestEigensolveDriver:
         mat = MATRICES[kind](rng, m, complex_).astype(complex if complex_ else float)
         want = np.linalg.eigvalsh(mat)
         i, j = np.tril_indices(m)
-        got, driver = montecarlo._eigvalsh(m, i, j, mat[i, j], 1.0)
+        got, driver = montecarlo._eigvalsh(montecarlo._dense_lower(m, i, j, mat[i, j], 1.0))
         assert driver == ("zheevd_2stage" if complex_ else "dsyevd_2stage")
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -928,7 +999,7 @@ class TestEigensolveDriver:
     def test_single_precision_gram_is_widened(self, dtype):
         mat = hermitian(np.random.default_rng(28), 40, np.iscomplexobj(dtype(0))).astype(dtype)
         i, j = np.tril_indices(40)
-        got, _ = montecarlo._eigvalsh(40, i, j, mat[i, j], 2.0)
+        got, _ = montecarlo._eigvalsh(montecarlo._dense_lower(40, i, j, mat[i, j], 2.0))
         want = np.linalg.eigvalsh(mat.astype(np.complex128) / 2.0)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 

@@ -263,6 +263,12 @@ class TestLimitingCdf:
         assert vals[2] == pytest.approx(1.0, abs=1e-10)
         assert vals[3] == 1.0
 
+    def test_nan_is_a_domain_error_and_infinities_are_exact(self):
+        dens = spectral_density(SystemConfig(3, 6))
+        with pytest.raises(DomainError, match="NaN"):
+            limiting_cdf(dens, [math.nan, 1.0])
+        assert limiting_cdf(dens, [-math.inf, math.inf]).tolist() == [0.0, 1.0]
+
     @pytest.mark.parametrize("d, bd", [(50, 51), (100, 101), (1000, 1001)])
     def test_near_unit_load_against_reference(self, d, bd):
         # lambda_minus is small but positive here, so the weight rises steeply
