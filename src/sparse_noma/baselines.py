@@ -77,7 +77,6 @@ class SweepTable:
     points: tuple[RatePoint, ...]
     ebn0: float
     d: int | None = None
-    degenerate: bool = False  # envelope built from fewer than 2 generators
 
 
 def baseline_rate(scheme: str, beta: float, snr: float) -> float:
@@ -101,7 +100,7 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     beta = float(beta)
     snr = float(snr)
     if not math.isfinite(beta) or beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
+        raise DomainError(f"beta must be finite and positive, got {beta!r}")
     if not math.isfinite(snr) or snr < 0.0:
         raise DomainError(f"snr must be finite and >= 0, got {snr!r}")
     if beta * snr > 1e306:
@@ -166,9 +165,9 @@ def solve_rate_at_ebn0(
     beta = float(beta)
     ebn0 = float(ebn0)
     if not math.isfinite(beta) or beta <= 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
+        raise DomainError(f"beta must be finite and positive, got {beta!r}")
     if not math.isfinite(ebn0) or ebn0 <= 0.0:
-        raise DomainError(f"ebn0 must be positive (linear), got {ebn0!r}")
+        raise DomainError(f"ebn0 must be finite and positive (linear), got {ebn0!r}")
 
     zero = RatePoint(
         scheme=scheme, beta=beta, rate=0.0, ebn0=ebn0, snr=0.0,
@@ -228,10 +227,13 @@ def solve_rate_at_ebn0(
 
 
 def _upper_concave_hull(pts: Sequence[tuple[float, float]]) -> list[tuple[float, float]]:
-    """Upper hull of (beta, rate) pairs by the monotone-chain construction."""
-    pts = sorted(pts)
+    """Upper hull of (beta, rate) pairs by the monotone-chain construction.
+
+    Only the highest rate at each load enters the chain, so vertex loads
+    strictly increase.
+    """
     hull: list[tuple[float, float]] = []
-    for p in pts:
+    for p in dict(sorted(pts)).items():  # the dict keeps the last, highest, rate at each load
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
             # drop middle point when it is at or below the chord
@@ -261,10 +263,10 @@ def timeshare_envelope(points: Sequence[RatePoint]) -> SweepTable:
 
     Points may mix column degrees (pooled time sharing) or come from a
     single d; the envelope only sees (beta, rate).  With fewer than two
-    distinct loads the input is returned unchanged, flagged degenerate.
+    distinct loads the input is returned unchanged.
     """
     if not points:
-        return SweepTable(points=(), ebn0=math.nan, d=None, degenerate=True)
+        return SweepTable(points=(), ebn0=math.nan, d=None)
     ebn0s = {p.ebn0 for p in points}
     if len(ebn0s) != 1:
         raise ConfigurationError("envelope requires a common ebn0 across points")
@@ -274,11 +276,9 @@ def timeshare_envelope(points: Sequence[RatePoint]) -> SweepTable:
     routes = {p.scheme for p in points}
     route = routes.pop() if len(routes) == 1 else "mixed"
 
-    distinct = len({p.beta for p in points})
-    if distinct < 2:
-        return SweepTable(points=tuple(points), ebn0=ebn0, d=d, degenerate=True)
-
     hull = _upper_concave_hull([(p.beta, p.rate) for p in points])
+    if len(hull) < 2:  # a single distinct load
+        return SweepTable(points=tuple(points), ebn0=ebn0, d=d)
     env = tuple(
         RatePoint(
             scheme="timeshare_envelope", beta=b, rate=r, ebn0=ebn0, snr=None,
@@ -327,13 +327,10 @@ def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
         for s, beta, cfg in operating
     ]
 
-    degenerate = False
     for scheme in _SPARSE_SCHEMES:
-        env = timeshare_envelope([p for p in points if p.scheme == scheme])
-        degenerate = degenerate or env.degenerate
-        if env.degenerate:
+        hull = _upper_concave_hull([(p.beta, p.rate) for p in points if p.scheme == scheme])
+        if len(hull) < 2:  # a single lattice point has no envelope
             continue
-        hull = [(p.beta, p.rate) for p in env.points]
         env_betas = sorted({c.beta for c in lattice} | {b for b in betas if hull[0][0] <= b <= hull[-1][0]})
         points.extend(
             RatePoint(
@@ -345,4 +342,4 @@ def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
 
     order = {s: i for i, s in enumerate(SCHEMES)}
     points.sort(key=lambda p: (order[p.scheme], p.route, p.beta))
-    return SweepTable(points=tuple(points), ebn0=ebn0, d=d, degenerate=degenerate)
+    return SweepTable(points=tuple(points), ebn0=ebn0, d=d)

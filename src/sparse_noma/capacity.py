@@ -33,19 +33,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CapacityResult:
-    """Spectral efficiency in bits/s/Hz for one config and receiver."""
+    """Spectral efficiency in bits/s/Hz; the function that returned it names the receiver and route."""
 
-    config: SystemConfig
-    receiver: str  # "optimum" | "lmmse"
     spectral_efficiency: float
-    route: str  # "closed_form" | "integral_oracle"
 
 
 @dataclass(frozen=True)
 class MmseError:
     """Large-system per-user LMMSE diagnostics: MMSE m1 and output SINR."""
 
-    config: SystemConfig
     m1: float
     sinr: float
 
@@ -122,7 +118,7 @@ def capacity_optimum(config: SystemConfig) -> CapacityResult:
         + math.log1p(beta * snr / p_u)
         - config.beta_d * math.log1p(snr / config.d / (p_u * p_r))
     )
-    return CapacityResult(config, "optimum", nats / LN2, "closed_form")
+    return CapacityResult(nats / LN2)
 
 
 def capacity_integral_oracle(config: SystemConfig) -> CapacityResult:
@@ -130,7 +126,7 @@ def capacity_integral_oracle(config: SystemConfig) -> CapacityResult:
     snr = config.snr
     density = spectral_density(config)
     value = integrate_against_density(density, lambda lam: np.log1p(snr * lam) / LN2)
-    return CapacityResult(config, "optimum", value, "integral_oracle")
+    return CapacityResult(value)
 
 
 def capacity_lmmse(config: SystemConfig) -> CapacityResult:
@@ -152,7 +148,7 @@ def capacity_lmmse(config: SystemConfig) -> CapacityResult:
     _check_snr(config)
     p_r = _cavity((config.d - 1) / config.d, config.beta, config.snr)[1]
     nats = config.beta * math.log1p(config.snr / p_r)
-    return CapacityResult(config, "lmmse", nats / LN2, "closed_form")
+    return CapacityResult(nats / LN2)
 
 
 def lmmse_error(config: SystemConfig) -> MmseError:
@@ -177,4 +173,4 @@ def lmmse_error(config: SystemConfig) -> MmseError:
     m1 = p_r / (s + p_r)
     if not 0.0 < m1 <= 1.0:
         raise NumericalError(f"m1={m1!r} outside (0, 1] for {config!r}")
-    return MmseError(config, m1=m1, sinr=s / p_r)
+    return MmseError(m1=m1, sinr=s / p_r)

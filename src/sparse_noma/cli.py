@@ -73,8 +73,11 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            raise ConfigurationError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
 def _write(args: argparse.Namespace, fields: dict, csv_lines: Iterable[str]) -> None:

@@ -70,7 +70,7 @@ import numpy as np
 
 from .capacity import capacity_lmmse, capacity_optimum
 from .errors import ConfigurationError, DomainError, GenerationError, NumericalError
-from .spectral import SpectralDensity, SystemConfig, limiting_cdf, spectral_density
+from .spectral import SpectralDensity, SystemConfig, _require_integer, limiting_cdf, spectral_density
 from .units import LN2
 
 if TYPE_CHECKING:
@@ -230,12 +230,13 @@ def generate_signature(
     reach a simple graph the matching is redrawn from scratch.  User c's
     resources are ``rows[c*d:(c+1)*d]``.  Indices are int32 below 2**31
     edges; the shuffle and the repair draw the same numbers at either width,
-    so a seed gives the same signature.
+    so a seed gives the same signature.  n_resources must be an integer
+    (a numpy integer passes, a bool or a float does not).
     """
     cfg = SystemConfig(d, beta_d)  # validates the degree pair
     if phase_scheme not in PHASE_SCHEMES:
         raise ConfigurationError(f"phase_scheme must be one of {PHASE_SCHEMES}")
-    n = int(n_resources)
+    n = _require_integer("n_resources", n_resources)
     if n * beta_d % d != 0:
         raise ConfigurationError(
             f"n_resources={n} gives a non-integer user count for d={d}, beta_d={beta_d}"
@@ -285,11 +286,9 @@ def generate_signature(
 
 @dataclass(eq=False)
 class EmpiricalSpectrum:
-    """Sorted eigenvalues of (1/d) A A^H for one realization."""
+    """Sorted eigenvalues of (1/d) A A^H for one realization, one per resource."""
 
     eigenvalues: np.ndarray
-    n_resources: int
-    n_users: int
     driver: str = ""  # eigensolver that produced the eigenvalues; "" when built by hand
 
     @property
@@ -674,17 +673,16 @@ def empirical_spectrum(sig: SignatureMatrix) -> EmpiricalSpectrum:
         raise NumericalError("trace identity violated: mean eigenvalue differs from beta")
     if abs(float(np.sum(eigs**2)) - frobenius) > _TRACE_TOL * frobenius:
         raise NumericalError("trace identity violated: squared eigenvalues do not sum to ||G||_F^2/d^2")
-    return EmpiricalSpectrum(eigenvalues=eigs, n_resources=n, n_users=k, driver=driver)
+    return EmpiricalSpectrum(eigenvalues=eigs, driver=driver)
 
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte Carlo point estimate with its standard error."""
+    """Monte Carlo point estimate with its standard error and the per-trial values."""
 
     estimate: float
     stderr: float
     trials: int
-    seed: int
     samples: tuple[float, ...]
 
 
@@ -707,8 +705,7 @@ def _mc_trials(
         values[t] = value(generate_signature(n_resources, config.d, config.beta_d, phase_scheme, rng))
     stderr = float(values.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return McEstimate(
-        estimate=float(values.mean()), stderr=stderr, trials=trials,
-        seed=seed, samples=tuple(values.tolist()),
+        estimate=float(values.mean()), stderr=stderr, trials=trials, samples=tuple(values.tolist()),
     )
 
 
@@ -751,7 +748,7 @@ def empirical_capacity_opt(
             i = np.arange(min(sig.n_users, sig.n_resources))
             low = _rfp_entries(_cholesky(sig, config.snr)[0], len(i), i, i).real
             logdet = float(2.0 * np.log(low).sum())
-        return logdet / (n_resources * LN2)
+        return logdet / (sig.n_resources * LN2)
 
     return _mc_trials(n_resources, config, trials, seed, phase_scheme, bits)
 
@@ -834,9 +831,9 @@ def empirical_capacity_lmmse(
 
 
 def feasible_resources(n_resources: int, d: int, beta_d: int) -> int:
-    """Smallest N >= n_resources with an integer user count N * beta_d / d."""
+    """Smallest N >= n_resources with an integer user count N * beta_d / d; n_resources must be an integer."""
     cfg = SystemConfig(d, beta_d)
-    n = int(n_resources)
+    n = _require_integer("n_resources", n_resources)
     if n < 1:
         raise ConfigurationError("n_resources must be positive")
     while n * cfg.beta_d % cfg.d != 0:

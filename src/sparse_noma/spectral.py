@@ -43,13 +43,18 @@ _STIELTJES_RESIDUAL_TOL = 1e-12
 _PANEL_CAP = 4096  # most Gauss panels one integral may use
 
 
-def _require_degree(name: str, value) -> int:
+def _require_integer(name: str, value) -> int:
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _require_degree(name: str, value) -> int:
+    value = _require_integer(name, value)
     if value < 2:
         raise ConfigurationError(f"{name} must be at least 2, got {value}")
-    return int(value)
+    return value
 
 
 def _require_snr(value) -> float:
@@ -174,9 +179,8 @@ def spectral_density(config: SystemConfig) -> SpectralDensity:
 
 @dataclass(frozen=True)
 class StieltjesValue:
-    """Stieltjes transform pair evaluated at one point z off the support."""
+    """Stieltjes transform pair at the point z off the support that `stieltjes` was given."""
 
-    z: complex
     m_inner: complex
     m_outer: complex
 
@@ -238,7 +242,7 @@ def stieltjes(density: SpectralDensity, z: complex) -> StieltjesValue:
     if denom == 0:
         raise NumericalError(f"outer transform pole encountered at z={z!r}")
     m_outer = -1.0 / denom
-    return StieltjesValue(z=z, m_inner=m_inner, m_outer=m_outer)
+    return StieltjesValue(m_inner=m_inner, m_outer=m_outer)
 
 
 def density_at(density: SpectralDensity, lam: float) -> float:

@@ -4,7 +4,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from sparse_noma import (
     ConfigurationError,
@@ -15,6 +15,7 @@ from sparse_noma import (
     capacity_optimum,
     lmmse_error,
 )
+from sparse_noma import baselines
 from sparse_noma.baselines import (
     SCHEMES,
     RatePoint,
@@ -73,6 +74,11 @@ class TestBaselineRate:
     def test_unknown_scheme(self):
         with pytest.raises(DomainError, match="unknown"):
             baseline_rate("sparse_opt", 1.0, 10.0)
+
+    @pytest.mark.parametrize("beta", [math.inf, math.nan, 0.0, -1.0])
+    def test_load_must_be_finite_and_positive(self, beta):
+        with pytest.raises(DomainError, match="beta must be finite and positive"):
+            baseline_rate("cover_wyner", beta, 10.0)
 
     @given(beta=loads, snr=st.floats(min_value=1e-3, max_value=1e4))
     @settings(max_examples=80)
@@ -201,6 +207,11 @@ class TestRateSolver:
         # a NaN shortfall compares False with everything, so neither the bracket nor the residual bar sees it
         with pytest.raises(NumericalError, match="rate function gave"):
             solve_rate_at_ebn0(lambda snr: value, 1.0, 10.0)
+
+    @pytest.mark.parametrize("beta,ebn0,name", [(math.inf, 10.0, "beta"), (1.0, math.inf, "ebn0")])
+    def test_infinite_input_is_not_called_non_positive(self, beta, ebn0, name):
+        with pytest.raises(DomainError, match=f"{name} must be finite and positive"):
+            solve_rate_at_ebn0(lambda snr: 1.0, beta, ebn0)
 
     def test_rate_vanishes_near_threshold(self):
         ebn0 = math.log(2.0) * (1.0 + 1e-6)
@@ -358,7 +369,6 @@ def _pt(beta, rate, ebn0=10.0):
 class TestEnvelope:
     def test_two_points_both_retained(self):
         env = timeshare_envelope([_pt(1.0, 1.0), _pt(2.0, 2.5)])
-        assert not env.degenerate
         assert [(p.beta, p.rate) for p in env.points] == [(1.0, 1.0), (2.0, 2.5)]
         assert all(p.scheme == "timeshare_envelope" for p in env.points)
         assert all(p.snr is None for p in env.points)
@@ -376,24 +386,31 @@ class TestEnvelope:
                 assert rates[p.beta] == p.rate
 
     def test_single_point_is_degenerate(self):
-        env = timeshare_envelope([_pt(1.0, 1.0)])
-        assert env.degenerate
-        assert env.points[0].rate == 1.0
+        pt = _pt(1.0, 1.0)
+        assert timeshare_envelope([pt]).points == (pt,)  # returned unchanged
+
+    def test_repeated_load_keeps_only_its_highest_rate(self):
+        env = timeshare_envelope([_pt(1.0, 1.0), _pt(1.0, 2.0), _pt(2.0, 1.0)])
+        assert [(p.beta, p.rate) for p in env.points] == [(1.0, 2.0), (2.0, 1.0)]
 
     def test_mixed_ebn0_rejected(self):
         with pytest.raises(ConfigurationError, match="common ebn0"):
             timeshare_envelope([_pt(1.0, 1.0), _pt(2.0, 2.0, ebn0=12.0)])
 
     @given(
-        rates=st.lists(
-            st.floats(min_value=0.1, max_value=10.0), min_size=3, max_size=12
+        draws=st.lists(
+            st.tuples(st.integers(1, 8), st.floats(min_value=0.1, max_value=10.0)),
+            min_size=3, max_size=12,
         )
     )
     @settings(max_examples=60)
-    def test_concave_and_dominating(self, rates):
-        pts = [_pt(0.5 * (i + 1), r) for i, r in enumerate(rates)]
+    def test_concave_and_dominating(self, draws):
+        # few loads for up to 12 points, so loads repeat
+        assume(len({i for i, _ in draws}) >= 2)
+        pts = [_pt(0.5 * i, r) for i, r in draws]
         env = timeshare_envelope(pts)
         vertices = [(p.beta, p.rate) for p in env.points]
+        assert all(b1 < b2 for (b1, _), (b2, _) in zip(vertices, vertices[1:]))
         slopes = [
             (r2 - r1) / (b2 - b1) for (b1, r1), (b2, r2) in zip(vertices, vertices[1:])
         ]
@@ -421,6 +438,16 @@ class TestSweepLoad:
     def test_non_finite_load_is_a_configuration_error(self, bad):
         with pytest.raises(ConfigurationError, match="loads must be finite"):
             sweep_load(2, 10.0, [0.5, bad])
+
+    def test_envelope_reads_the_hull_without_timeshare_envelope(self, monkeypatch):
+        expected = sweep_load(3, 10.0, [0.5, 1.0, 2.0])
+        assert any(p.scheme == "timeshare_envelope" for p in expected.points)
+
+        def refuse(points):
+            raise AssertionError("sweep_load called timeshare_envelope")
+
+        monkeypatch.setattr(baselines, "timeshare_envelope", refuse)
+        assert sweep_load(3, 10.0, [0.5, 1.0, 2.0]) == expected
 
     def test_sparse_beats_dense_at_lattice(self):
         table = sweep_load(2, 10.0, [1.0, 1.5, 2.0, 2.5, 3.0])

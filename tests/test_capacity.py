@@ -35,7 +35,6 @@ class TestOptimum:
     def test_contact_pair_value(self):
         res = capacity_optimum(SystemConfig(2, 2, 10.0))
         assert res.spectral_efficiency == pytest.approx(OPT_22_10, abs=1e-9)
-        assert res.receiver == "optimum" and res.route == "closed_form"
 
     def test_low_snr_linearization(self):
         cfg = SystemConfig(3, 2, 1e-6)
@@ -47,7 +46,6 @@ class TestOptimum:
             cfg = SystemConfig(d, bd, snr)
             closed = capacity_optimum(cfg)
             oracle = capacity_integral_oracle(cfg)
-            assert oracle.route == "integral_oracle"
             assert closed.spectral_efficiency == pytest.approx(
                 oracle.spectral_efficiency, abs=1e-9
             )
@@ -87,7 +85,6 @@ class TestLmmse:
     def test_contact_pair_value(self):
         res = capacity_lmmse(SystemConfig(2, 2, 10.0))
         assert res.spectral_efficiency == pytest.approx(LMMSE_22_10, abs=1e-9)
-        assert res.receiver == "lmmse"
 
     def test_strictly_increasing_in_snr(self):
         cfg = SystemConfig(2, 5)

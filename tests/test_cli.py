@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, output formats, schema conformance."""
 
+import errno
 import json
 import math
+import os
 import types
 import xml.etree.ElementTree as ET
 from importlib import resources
@@ -178,6 +180,12 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and "must be finite" in err
 
+    def test_infinite_ebn0_is_not_called_non_positive(self, capsys):
+        code, out, err = run(capsys, "sweep", "--d", "3", "--ebn0-db=inf",
+                             "--beta-min", "0.5", "--beta-max", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: ebn0 must be finite and positive (linear), got inf\n"
+
     @pytest.mark.parametrize("d", ["2", "3", "10"])
     def test_high_ebn0_solves_every_point(self, capsys, d):
         # at Eb/N0 = 60 dB the overloaded sparse-optimum fixed points sit near
@@ -295,6 +303,18 @@ def test_output_framing(capsys, tmp_path, argv, fmt):
         assert (payload["kind"], payload["schema"]) == (argv[0], "v1")
     elif fmt == "csv":
         assert out.startswith("# schema=v1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("params", "--d", "3", "--beta-d", "6"),
+    ("validate", "--check", "rate_solver"),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "x.out"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {target}: {os.strerror(errno.ENOENT)}\n"
+    assert not target.parent.exists()
 
 
 @pytest.mark.parametrize("argv", [

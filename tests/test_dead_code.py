@@ -1,11 +1,16 @@
-"""No dead imports and no orphaned private helpers in the package sources."""
+"""No dead imports, no orphaned private helpers and no unread result fields in the package sources."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
 
 import sparse_noma
+from sparse_noma.baselines import SweepTable
+from sparse_noma.capacity import CapacityResult, MmseError
+from sparse_noma.montecarlo import EmpiricalSpectrum, McEstimate
+from sparse_noma.spectral import StieltjesValue
 
 SOURCES = sorted(
     p for p in Path(sparse_noma.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -75,3 +80,16 @@ def test_every_private_definition_is_named_elsewhere():
         and definition not in referenced
     ]
     assert not orphans, f"private definitions nothing names: {orphans}"
+
+
+@pytest.mark.parametrize("record,names", [
+    (CapacityResult, ("spectral_efficiency",)),
+    (MmseError, ("m1", "sinr")),
+    (StieltjesValue, ("m_inner", "m_outer")),
+    (McEstimate, ("estimate", "stderr", "trials", "samples")),
+    (EmpiricalSpectrum, ("eigenvalues", "driver")),
+    (SweepTable, ("points", "ebn0", "d")),
+], ids=lambda v: v.__name__ if isinstance(v, type) else None)
+def test_result_records_hold_what_the_call_computed(record, names):
+    # a record's arguments stay with the caller; each field here has a reader
+    assert tuple(f.name for f in dataclasses.fields(record)) == names

@@ -185,6 +185,16 @@ class TestGeneration:
         with pytest.raises(ConfigurationError, match="phase_scheme"):
             generate_signature(6, 2, 2, "gaussian", seed=0)
 
+    @pytest.mark.parametrize("n", [1200.7, 1200.9, 1200.0, True])
+    def test_non_integral_resource_count(self, n):
+        # a float count is refused, not truncated below what was asked for
+        with pytest.raises(ConfigurationError, match="n_resources must be an integer"):
+            generate_signature(n, 3, 6, seed=0)
+        with pytest.raises(ConfigurationError, match="n_resources must be an integer"):
+            feasible_resources(n, 3, 6)
+        assert generate_signature(np.int64(12), 3, 6, seed=0).n_resources == 12
+        assert feasible_resources(np.int64(1201), 3, 2) == 1203
+
     @given(
         d=st.integers(2, 4),
         mult=st.integers(1, 3),
@@ -379,6 +389,13 @@ class TestCapacityEstimators:
         b = empirical_capacity_opt(40, cfg, trials=5, seed=11)
         assert a.samples == b.samples
 
+    def test_non_integral_resource_count(self):
+        # each trial divides by the N it drew, so a count must be an integer to mean that N
+        cfg = SystemConfig(3, 6, 10.0)
+        with pytest.raises(ConfigurationError, match="n_resources must be an integer"):
+            empirical_capacity_opt(1200.5, cfg, trials=2)
+        assert empirical_capacity_opt(np.int64(1200), cfg, trials=2) == empirical_capacity_opt(1200, cfg, trials=2)
+
     def test_negative_seed_is_a_configuration_error(self):
         # numpy's SeedSequence rejects it; both estimators and the comparison say so in the package's terms
         cfg = SystemConfig(3, 6, 10.0)
@@ -434,7 +451,7 @@ class TestCompareToClosedForm:
 
         def fake_estimator(n, config, trials, seed, phase_scheme):
             calls.append((n, trials))
-            return McEstimate(estimate, stderr, trials, seed, ())
+            return McEstimate(estimate, stderr, trials, ())
 
         closed = types.SimpleNamespace(spectral_efficiency=100.0)  # 1% is exactly 1.0
         monkeypatch.setattr(montecarlo, "capacity_optimum", lambda cfg: closed)
@@ -1012,7 +1029,7 @@ class TestEigensolveDriver:
         want = eigvalsh_spectrum(sig)
         assert np.max(np.abs(spec.eigenvalues - want)) <= 1e-12 * max(1.0, want[-1])
         dens = spectral_density(SystemConfig(d, bd))
-        reference = EmpiricalSpectrum(eigenvalues=want, n_resources=n, n_users=sig.n_users)
+        reference = EmpiricalSpectrum(eigenvalues=want)
         assert abs(ks_distance(spec, dens) - ks_distance(reference, dens)) <= 1e-12
 
     def test_two_stage_driver_runs_on_this_platform(self):
@@ -1405,7 +1422,7 @@ class TestKsDistance:
         n = 4000
         targets = (np.arange(n) + 0.5) / n
         samples = grid[np.searchsorted(cdf, targets)]
-        spec = EmpiricalSpectrum(eigenvalues=np.sort(samples), n_resources=n, n_users=2 * n // 3)
+        spec = EmpiricalSpectrum(eigenvalues=np.sort(samples))
         assert ks_distance(spec, dens) < 0.005
 
     def test_acceptance_scale_config(self):
