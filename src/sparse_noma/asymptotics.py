@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
 from .spectral import SystemConfig
@@ -69,24 +68,21 @@ class HighSnrParams:
 def low_snr_optimum(d: int, beta_d: int) -> LowSnrParams:
     cfg = SystemConfig(d, beta_d)
     # 2*beta*d / (d(beta+1) - 1) reduces to the integer form below
-    s0 = Fraction(2 * cfg.beta_d, cfg.beta_d + cfg.d - 1)
-    return LowSnrParams(ebn0_min=LN2, s0=float(s0))
+    return LowSnrParams(ebn0_min=LN2, s0=2 * cfg.beta_d / (cfg.beta_d + cfg.d - 1))
 
 
 def low_snr_lmmse(d: int, beta_d: int) -> LowSnrParams:
     cfg = SystemConfig(d, beta_d)
-    s0 = Fraction(2 * cfg.beta_d, 2 * cfg.beta_d + cfg.d - 2)
-    return LowSnrParams(ebn0_min=LN2, s0=float(s0))
+    return LowSnrParams(ebn0_min=LN2, s0=2 * cfg.beta_d / (2 * cfg.beta_d + cfg.d - 2))
 
 
 def high_snr_optimum(d: int, beta_d: int) -> HighSnrParams:
     cfg = SystemConfig(d, beta_d)
-    beta = cfg.beta_exact
-    b = float(beta)
+    b = cfg.beta
     d_ = cfg.d
-    if beta < 1:
+    if cfg.beta_d < d_:
         l_inf = (1.0 / b - 1.0) * math.log2(1.0 - b) - (d_ - 1) * math.log2(1.0 - 1.0 / d_)
-    elif beta == 1:
+    elif cfg.beta_d == d_:
         l_inf = -(d_ - 1) * math.log2(1.0 - 1.0 / d_)
     else:
         l_inf = (
@@ -99,10 +95,9 @@ def high_snr_optimum(d: int, beta_d: int) -> HighSnrParams:
 
 def high_snr_lmmse(d: int, beta_d: int) -> HighSnrParams:
     cfg = SystemConfig(d, beta_d)
-    beta = cfg.beta_exact
-    b = float(beta)
-    if beta < 1:
+    b = cfg.beta
+    if cfg.beta_d < cfg.d:
         return HighSnrParams(s_inf=b, l_inf=math.log2(1.0 / (1.0 - b)) + math.log2((d - 1) / d))
-    if beta == 1:
+    if cfg.beta_d == cfg.d:
         return HighSnrParams(s_inf=0.5, l_inf=math.log2((d - 1) / d))
     return HighSnrParams(s_inf=0.0, l_inf=None)

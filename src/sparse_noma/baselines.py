@@ -75,7 +75,6 @@ class SweepTable:
     """Rate points over a load grid at fixed Eb/N0 (and fixed d for sparse)."""
 
     points: tuple[RatePoint, ...]
-    ebn0: float
     d: int | None = None
 
 
@@ -266,7 +265,7 @@ def timeshare_envelope(points: Sequence[RatePoint]) -> SweepTable:
     distinct loads the input is returned unchanged.
     """
     if not points:
-        return SweepTable(points=(), ebn0=math.nan, d=None)
+        return SweepTable(points=(), d=None)
     ebn0s = {p.ebn0 for p in points}
     if len(ebn0s) != 1:
         raise ConfigurationError("envelope requires a common ebn0 across points")
@@ -278,7 +277,7 @@ def timeshare_envelope(points: Sequence[RatePoint]) -> SweepTable:
 
     hull = _upper_concave_hull([(p.beta, p.rate) for p in points])
     if len(hull) < 2:  # a single distinct load
-        return SweepTable(points=tuple(points), ebn0=ebn0, d=d)
+        return SweepTable(points=tuple(points), d=d)
     env = tuple(
         RatePoint(
             scheme="timeshare_envelope", beta=b, rate=r, ebn0=ebn0, snr=None,
@@ -286,7 +285,7 @@ def timeshare_envelope(points: Sequence[RatePoint]) -> SweepTable:
         )
         for b, r in hull
     )
-    return SweepTable(points=env, ebn0=ebn0, d=d)
+    return SweepTable(points=env, d=d)
 
 
 def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
@@ -342,4 +341,4 @@ def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
 
     order = {s: i for i, s in enumerate(SCHEMES)}
     points.sort(key=lambda p: (order[p.scheme], p.route, p.beta))
-    return SweepTable(points=tuple(points), ebn0=ebn0, d=d)
+    return SweepTable(points=tuple(points), d=d)

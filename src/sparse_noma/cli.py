@@ -41,7 +41,7 @@ from .montecarlo import (
 )
 from .spectral import SystemConfig, density_at, spectral_density
 from .svgplot import sweep_svg
-from .units import db_to_linear, linear_to_db
+from .units import db_to_linear
 
 RATE_COLUMNS = ("scheme", "d", "beta_d", "beta", "ebn0_db", "snr", "rate", "route", "stderr")
 CSV_HEADER = ",".join(RATE_COLUMNS)
@@ -179,10 +179,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.format == "svg":
         _emit(sweep_svg(table, args.ebn0_db), args.out)
         return 0
-    ebn0_db = linear_to_db(table.ebn0)
     rows = [
         _rate_row(
-            scheme=p.scheme, d=p.d, beta_d=p.beta_d, beta=p.beta, ebn0_db=ebn0_db,
+            scheme=p.scheme, d=p.d, beta_d=p.beta_d, beta=p.beta, ebn0_db=args.ebn0_db,
             snr=p.snr, rate=p.rate, route=p.route,
         )
         for p in table.points

@@ -710,14 +710,15 @@ def _mc_trials(
 
 
 def _require_resolved_snr(snr: float) -> None:
-    """DomainError below snr = 1e-9, under which a trial's rounding error can pass 1e-6 relative.
+    """DomainError for 0 < snr < 1e-9, where a trial's rounding error can pass 1e-6 relative.
 
     The estimators take logs of values stored next to 1 (L_ii ~ 1 + snr/2,
     the MMSE 1 - O(snr)), so a trial's relative error grows like 1e-16/snr:
     at worst 2.5e-7 at snr = 1e-9 and 2.1e-6 at 1e-10 (README, "Numerical notes").
+    At snr = 0 the matrix factored is I and every value is exact.
     """
-    if not snr >= _MIN_SNR:
-        raise DomainError(f"snr must be at least {_MIN_SNR:g} for a Monte Carlo estimate, got {snr!r}")
+    if not (snr == 0.0 or snr >= _MIN_SNR):
+        raise DomainError(f"snr must be 0 or at least {_MIN_SNR:g} for a Monte Carlo estimate, got {snr!r}")
 
 
 def empirical_capacity_opt(
@@ -737,8 +738,7 @@ def empirical_capacity_opt(
     is within 1e-6 relative of its exact log-determinant, and in between it
     raises DomainError (_require_resolved_snr).
     """
-    if config.snr != 0.0:
-        _require_resolved_snr(config.snr)
+    _require_resolved_snr(config.snr)
     c = config.snr / config.d
 
     def bits(sig: SignatureMatrix) -> float:
@@ -768,9 +768,10 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     m = 2000; without LAPACKE (_lapacke() is None) the diagonal of M^{-1}
     from pftri is read instead.  When K > N, pftri gives M^{-1} in RFP and
     user k's MMSE is 1 - (snr/d) a_k^H M^{-1} a_k, gathered (_rfp_entries)
-    from the d(d+1)/2 entries that user k's resources pick out.  From snr = 1e-9 up the mean
-    log of the values is within 1e-6 relative of the exact one; below it
-    raises DomainError (_require_resolved_snr).
+    from the d(d+1)/2 entries that user k's resources pick out.  snr = 0 gives
+    exactly 1 for every user; from snr = 1e-9 up the mean log of the values is
+    within 1e-6 relative of the exact one, and in between it raises
+    DomainError (_require_resolved_snr).
     """
     _require_resolved_snr(snr)
     c = snr / sig.d
@@ -822,7 +823,7 @@ def empirical_capacity_lmmse(
     seed: int = 0,
     phase_scheme: str = "uniform",
 ) -> McEstimate:
-    """Per-user LMMSE spectral-efficiency estimate beta * E[log2(1/M_kk)], for snr >= 1e-9 (lmmse_diagonal)."""
+    """Per-user LMMSE spectral-efficiency estimate beta * E[log2(1/M_kk)], for snr = 0 or snr >= 1e-9 (lmmse_diagonal)."""
     beta = config.beta_d / config.d
     return _mc_trials(
         n_resources, config, trials, seed, phase_scheme,

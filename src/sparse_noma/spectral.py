@@ -7,12 +7,11 @@ scaled Gram matrix (1/d) A A^H converges to a deterministic measure: a point
 mass [1-beta]^+ at zero plus an absolutely continuous part supported on
 [lambda_minus, lambda_plus].  That measure depends only on the integer pair
 (d, beta*d), and one record holds it: spectral_density(config) returns the
-SpectralDensity of config's degree pair, its constants derived exactly in
-rationals and cached.  Every other function here takes that record: it
-evaluates the Stieltjes transform pair off the support in closed form, and
-integrates continuous functions against the limiting measure: a substitution
-removes every endpoint singularity, and adaptive 32/64-node Gauss panels
-resolve kinks.
+cached SpectralDensity of config's degree pair.  Every other function here
+takes that record: it evaluates the Stieltjes transform pair off the support
+in closed form, and integrates continuous functions against the limiting
+measure: a substitution removes every endpoint singularity, and adaptive
+32/64-node Gauss panels resolve kinks.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
 
@@ -82,10 +80,6 @@ class SystemConfig:
         object.__setattr__(self, "snr", _require_snr(self.snr))
 
     @property
-    def beta_exact(self) -> Fraction:
-        return Fraction(self.beta_d, self.d)
-
-    @property
     def beta(self) -> float:
         return self.beta_d / self.d
 
@@ -107,7 +101,9 @@ class SpectralDensity:
     Built only by spectral_density.  Its constants: alpha = (d-1)/d,
     gamma = (beta_d-1)/d, beta_tilde = alpha/gamma, zeta = beta_d/gamma; the
     continuous support is [lambda_minus, lambda_plus] =
-    [(sqrt(alpha)-sqrt(gamma))^2, (sqrt(alpha)+sqrt(gamma))^2].
+    [(sqrt(alpha)-sqrt(gamma))^2, (sqrt(alpha)+sqrt(gamma))^2].  Each of
+    alpha, gamma, beta_tilde, zeta and point_mass_at_zero is one division of
+    two integers, so it is the double nearest its exact rational value.
     zeta >= (1 + sqrt(beta_tilde))^2 holds for every degree pair: with
     P = (d-1)(beta_d-1), zeta - 1 - beta_tilde = (P + 1)/(beta_d - 1) and
     (zeta - 1 - beta_tilde)^2 - 4 beta_tilde = ((P - 1)/(beta_d - 1))^2.
@@ -130,12 +126,8 @@ class SpectralDensity:
         return self.beta_d / self.d
 
     @property
-    def beta_exact(self) -> Fraction:
-        return Fraction(self.beta_d, self.d)
-
-    @property
     def point_mass_at_zero(self) -> float:
-        return float(max(Fraction(0), 1 - self.beta_exact))
+        return max(0, self.d - self.beta_d) / self.d
 
     @property
     def edge_contact(self) -> bool:
@@ -145,27 +137,21 @@ class SpectralDensity:
 
 @lru_cache(maxsize=None)
 def _density(d: int, beta_d: int) -> SpectralDensity:
-    alpha = Fraction(d - 1, d)
-    gamma = Fraction(beta_d - 1, d)
-    beta_tilde = alpha / gamma
-    zeta = Fraction(beta_d) / gamma
-
-    prod = (d - 1) * (beta_d - 1)
-    root = math.sqrt(prod)
-    lam_plus = float(alpha + gamma) + 2.0 * root / d
+    root = math.sqrt((d - 1) * (beta_d - 1))
+    lam_plus = (d + beta_d - 2) / d + 2.0 * root / d
     # lambda_minus = (alpha - gamma)^2 / lambda_plus avoids the subtractive
     # cancellation of (sqrt(alpha) - sqrt(gamma))^2 when alpha ~ gamma
-    diff = float(alpha - gamma)
+    diff = (d - beta_d) / d
     lam_minus = 0.0 if d == beta_d else diff * diff / lam_plus
     support_gap = (root - 1.0) ** 2 / d
 
     return SpectralDensity(
         d=d,
         beta_d=beta_d,
-        alpha=float(alpha),
-        gamma=float(gamma),
-        beta_tilde=float(beta_tilde),
-        zeta=float(zeta),
+        alpha=(d - 1) / d,
+        gamma=(beta_d - 1) / d,
+        beta_tilde=(d - 1) / (beta_d - 1),
+        zeta=beta_d * d / (beta_d - 1),
         lambda_minus=lam_minus,
         lambda_plus=lam_plus,
         support_gap=support_gap,
@@ -173,7 +159,7 @@ def _density(d: int, beta_d: int) -> SpectralDensity:
 
 
 def spectral_density(config: SystemConfig) -> SpectralDensity:
-    """The limiting law of config's degree pair, derived in exact rationals and cached; config.snr is not read."""
+    """The limiting law of config's degree pair, cached; config.snr is not read."""
     return _density(config.d, config.beta_d)
 
 

@@ -23,6 +23,7 @@ def db_to_linear(x_db: float) -> float:
 
 
 def linear_to_db(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError(f"cannot express nonpositive value {x!r} in dB")
+    """10 log10(x) for x > 0; `DomainError` for 0, a negative value or NaN."""
+    if not x > 0.0:
+        raise DomainError(f"cannot express {x!r} in dB: the value must be positive")
     return 10.0 * math.log10(x)

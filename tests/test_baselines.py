@@ -61,6 +61,11 @@ class TestBaselineRate:
         for scheme in DENSE:
             assert baseline_rate(scheme, 0.7, 0.0) == 0.0
 
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -1.0])
+    def test_snr_must_be_finite_and_nonnegative(self, snr):
+        with pytest.raises(DomainError, match="snr must be finite and >= 0"):
+            baseline_rate("cover_wyner", 1.0, snr)
+
     @pytest.mark.parametrize("beta", [0.5, 1.0, 3.0, 30.0, 1e6])
     def test_domain_bound_on_beta_snr(self, beta):
         # past the bound the rates overflowed to inf, nan or 0.0 instead of raising
@@ -207,6 +212,11 @@ class TestRateSolver:
         # a NaN shortfall compares False with everything, so neither the bracket nor the residual bar sees it
         with pytest.raises(NumericalError, match="rate function gave"):
             solve_rate_at_ebn0(lambda snr: value, 1.0, 10.0)
+
+    def test_unbounded_rate_function_does_not_close_the_bracket(self):
+        # R = 2 R ebn0 / beta has no positive fixed point: the shortfall stays negative
+        with pytest.raises(NumericalError, match="rate bracket did not close"):
+            solve_rate_at_ebn0(lambda snr: 2.0 * snr, 1.0, 10.0)
 
     @pytest.mark.parametrize("beta,ebn0,name", [(math.inf, 10.0, "beta"), (1.0, math.inf, "ebn0")])
     def test_infinite_input_is_not_called_non_positive(self, beta, ebn0, name):
@@ -385,6 +395,9 @@ class TestEnvelope:
             if p.beta in rates:
                 assert rates[p.beta] == p.rate
 
+    def test_no_points_give_an_empty_table(self):
+        assert timeshare_envelope([]).points == ()
+
     def test_single_point_is_degenerate(self):
         pt = _pt(1.0, 1.0)
         assert timeshare_envelope([pt]).points == (pt,)  # returned unchanged
@@ -433,6 +446,10 @@ class TestSweepLoad:
             sweep_load(10, 10.0, [0.05, 0.15])
         with pytest.raises(ConfigurationError, match="empty"):
             sweep_load(2, 10.0, [])
+
+    def test_non_positive_load_is_a_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="loads must be positive"):
+            sweep_load(3, 10.0, [0.0, 1.0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_load_is_a_configuration_error(self, bad):

@@ -12,10 +12,10 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_noma import montecarlo
+from sparse_noma import cli, montecarlo
 from sparse_noma.checks import run_checks
 from sparse_noma.cli import CSV_HEADER, build_parser, main
-from sparse_noma.errors import ConfigurationError
+from sparse_noma.errors import ConfigurationError, DomainError, NumericalError
 from sparse_noma.units import db_to_linear, linear_to_db
 
 
@@ -158,6 +158,36 @@ class TestSweep:
         polylines = [e for e in ET.fromstring(out).iter() if e.tag.endswith("polyline")]
         assert polylines
 
+    def test_svg_of_one_load_widens_the_load_axis(self, capsys):
+        # every point sits at beta = 1, so the axis runs over [1, 2] instead of an empty range
+        code, out, err = run(capsys, "sweep", "--d", "3", "--ebn0-db", "10",
+                             "--beta-min", "1", "--beta-max", "1", "--beta-steps", "1", "--format", "svg")
+        assert (code, err) == (0, "")
+        root = ET.fromstring(out)
+        ticks = [e.text for e in root.iter() if e.tag.endswith("text") and e.get("y") == "466"]
+        assert ticks == ["1", "1.2", "1.4", "1.6", "1.8", "2"]
+        assert {e.get("cx") for e in root.iter() if e.tag.endswith("circle")} == {"72.0"}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rows_carry_the_ebn0_flag(self, capsys, fmt):
+        # 7.2 dB does not survive a trip to linear and back (it returns 7.199999999999999)
+        code, out, err = run(capsys, "sweep", "--d", "3", "--ebn0-db", "7.2", "--beta-min", "1",
+                             "--beta-max", "1", "--beta-steps", "1", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            payload = json.loads(out)
+            cells = [payload["ebn0_db"], *(r["ebn0_db"] for r in payload["rows"])]
+            assert len(cells) > 1 and all(repr(c) == "7.2" for c in cells)
+        else:
+            rows = parse_csv_rows(out)
+            assert rows and all(r["ebn0_db"] == "7.2" for r in rows)
+
+    def test_zero_load_steps_exit_2(self, capsys):
+        code, out, err = run(capsys, "sweep", "--d", "2", "--ebn0-db", "10",
+                             "--beta-min", "1", "--beta-max", "2", "--beta-steps", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: --beta-steps must be >= 1, got 0\n"
+
     def test_out_writes_file(self, capsys, tmp_path):
         target = tmp_path / "sweep.csv"
         code, out, _ = run(capsys, *self.ARGS, "--out", str(target))
@@ -250,12 +280,21 @@ class TestMonteCarlo:
         assert float(mc["stderr"]) >= 0.0
 
     def test_zero_snr_exact_match_passes(self, capsys):
-        # closed form, estimate and tolerance are all exactly 0
-        code, out, _ = run(capsys, "montecarlo", "--d", "2", "--beta-d", "2", "--snr-db=-inf",
-                           "--n", "120", "--trials", "2", "--no-ks", "--receiver", "opt")
-        r = json.loads(out)["receivers"]["optimum"]
-        assert (r["closed_form"], r["estimate"], r["tolerance"]) == (0.0, 0.0, 0.0)
-        assert code == 0
+        # closed form, estimate and tolerance are all exactly 0, for both receivers
+        for d, bd, n in (("2", "2", "120"), ("3", "6", "60")):
+            code, out, err = run(capsys, "montecarlo", "--d", d, "--beta-d", bd, "--snr-db=-inf",
+                                 "--n", n, "--trials", "2", "--no-ks")
+            assert (code, err) == (0, "")
+            receivers = json.loads(out)["receivers"]
+            assert set(receivers) == {"optimum", "lmmse"}
+            for r in receivers.values():
+                assert (r["closed_form"], r["estimate"], r["tolerance"]) == (0.0, 0.0, 0.0)
+
+    def test_zero_trials_exit_2(self, capsys):
+        code, out, err = run(capsys, "montecarlo", "--d", "3", "--beta-d", "6", "--snr-db", "10",
+                             "--n", "60", "--trials", "0", "--no-ks")
+        assert (code, out) == (2, "")
+        assert err == "error: trials must be >= 1\n"
 
     @pytest.mark.parametrize("receiver", ["opt", "lmmse"])
     def test_snr_below_the_estimators_bound_is_a_domain_error(self, capsys, receiver):
@@ -449,7 +488,22 @@ class TestImports:
         assert run_probe(probe).strip() == "0 12 passed, 0 failed, 2 skipped []"
 
 
+def test_numerical_error_exits_1(capsys, monkeypatch):
+    def fail(config):
+        raise NumericalError("quadrature did not converge")
+
+    monkeypatch.setattr(cli, "spectral_density", fail)
+    code, out, err = run(capsys, "params", "--d", "3", "--beta-d", "2")
+    assert (code, out) == (1, "")
+    assert err == "numerical failure: quadrature did not converge\n"
+
+
 class TestUnits:
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan])
+    def test_non_positive_or_nan_has_no_db_value(self, x):
+        with pytest.raises(DomainError, match="must be positive"):
+            linear_to_db(x)
+
     @given(st.floats(-40.0, 40.0))
     @settings(max_examples=200, deadline=None)
     def test_db_round_trip(self, db):

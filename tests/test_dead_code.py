@@ -88,7 +88,7 @@ def test_every_private_definition_is_named_elsewhere():
     (StieltjesValue, ("m_inner", "m_outer")),
     (McEstimate, ("estimate", "stderr", "trials", "samples")),
     (EmpiricalSpectrum, ("eigenvalues", "driver")),
-    (SweepTable, ("points", "ebn0", "d")),
+    (SweepTable, ("points", "d")),
 ], ids=lambda v: v.__name__ if isinstance(v, type) else None)
 def test_result_records_hold_what_the_call_computed(record, names):
     # a record's arguments stay with the caller; each field here has a reader

@@ -181,6 +181,10 @@ class TestGeneration:
         with pytest.raises(ConfigurationError, match="integer"):
             generate_signature(5, 3, 2, seed=0)
 
+    def test_too_few_resources(self):
+        with pytest.raises(ConfigurationError, match="need n_resources > d"):
+            generate_signature(3, 3, 3, seed=0)
+
     def test_unknown_phase_scheme(self):
         with pytest.raises(ConfigurationError, match="phase_scheme"):
             generate_signature(6, 2, 2, "gaussian", seed=0)
@@ -380,8 +384,10 @@ class TestCapacityEstimators:
         assert all(s <= bound + 1e-12 for s in est.samples)
 
     def test_zero_snr_is_exactly_zero(self):
-        est = empirical_capacity_opt(30, SystemConfig(2, 2, 0.0), trials=3, seed=0)
-        assert est.estimate == 0.0 and est.stderr == 0.0
+        for d, bd, n in ((2, 2, 30), (3, 6, 30)):
+            for run in (empirical_capacity_opt, empirical_capacity_lmmse):
+                est = run(n, SystemConfig(d, bd, 0.0), trials=3, seed=0)
+                assert repr((est.estimate, est.stderr)) == "(0.0, 0.0)", (run.__name__, d, bd)
 
     def test_deterministic_given_seed(self):
         cfg = SystemConfig(2, 4, 10.0)
@@ -416,7 +422,7 @@ class TestCapacityEstimators:
 
 
 class TestLowSnrBound:
-    """Below snr = 1e-9 a trial's rounding passes 1e-6 relative, so the estimators raise DomainError."""
+    """For 0 < snr < 1e-9 a trial's rounding passes 1e-6 relative, so the estimators raise DomainError."""
 
     @pytest.mark.parametrize("snr", [5e-10, 1e-16])
     def test_below_the_bound_is_a_domain_error(self, snr):
@@ -426,6 +432,13 @@ class TestLowSnrBound:
                 run(30, cfg, trials=1)
         with pytest.raises(DomainError, match="at least 1e-09"):
             lmmse_diagonal(generate_signature(30, 3, 6, seed=1), snr)
+
+    @pytest.mark.parametrize("scheme", ["uniform", "binary"])
+    @pytest.mark.parametrize("d, bd, n", [(2, 2, 30), (3, 2, 30), (3, 6, 30), (10, 10, 12)])
+    def test_zero_snr_gives_exact_ones(self, d, bd, n, scheme):
+        # cycles at (2,2), tftri on the user side at (3,2) and (10,10), pftri on the resource side at (3,6)
+        sig = generate_signature(n, d, bd, scheme, seed=2)
+        assert np.array_equal(lmmse_diagonal(sig, 0.0), np.ones(sig.n_users))
 
     @pytest.mark.parametrize("d, bd, n, scheme", [
         (2, 2, 300, "uniform"), (3, 6, 30, "binary"), (10, 10, 12, "repetition"), (3, 2, 120, "binary"),
@@ -983,8 +996,9 @@ def eigvalsh_spectrum(sig):
     return np.sort(np.clip(eigs, 0.0, None))
 
 
-def moved_eigenvalue_driver(delta):
-    """The two-stage complex driver, adding delta to the smallest and subtracting it from the largest value."""
+def moved_eigenvalue_driver(delta, shift=0.0):
+    """The two-stage complex driver, adding delta to the smallest value, subtracting it from the largest
+    and adding shift to every value."""
     real = montecarlo._lapacke()["zheevd_2stage"]
 
     def moved(layout, jobz, uplo, n, a, lda, w):
@@ -992,6 +1006,7 @@ def moved_eigenvalue_driver(delta):
         lam = np.ctypeslib.as_array(ctypes.cast(w, ctypes.POINTER(ctypes.c_double)), (n,))
         lam[0] += delta
         lam[-1] -= delta
+        lam += shift
         return info
 
     return moved
@@ -1051,6 +1066,11 @@ class TestEigensolveDriver:
         monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", moved)
         with pytest.raises(NumericalError, match="squared eigenvalues"):
             empirical_spectrum(sig)
+
+    def test_shifted_eigenvalues_fail_the_mean_identity(self, monkeypatch):
+        monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", moved_eigenvalue_driver(0.0, shift=1e-6))
+        with pytest.raises(NumericalError, match="mean eigenvalue differs from beta"):
+            empirical_spectrum(generate_signature(60, 3, 6, seed=27))
 
     def test_import_does_not_bind(self, run_probe):
         probe = "import sparse_noma.montecarlo as m; print(m._lapacke.cache_info().currsize)"
@@ -1414,6 +1434,10 @@ class TestSparseLayout:
 
 
 class TestKsDistance:
+    def test_empty_spectrum(self):
+        with pytest.raises(ConfigurationError, match="empty spectrum"):
+            ks_distance(EmpiricalSpectrum(eigenvalues=np.array([])), spectral_density(SystemConfig(3, 2)))
+
     def test_synthetic_sample_from_limit(self):
         # stratified inverse-CDF draws from the limit itself: distance ~ 1/n
         dens = spectral_density(SystemConfig(3, 2))

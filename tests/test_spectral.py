@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -21,6 +22,15 @@ from sparse_noma import (
     spectral_density,
     stieltjes,
 )
+from sparse_noma.asymptotics import (
+    HighSnrParams,
+    LowSnrParams,
+    high_snr_lmmse,
+    high_snr_optimum,
+    low_snr_lmmse,
+    low_snr_optimum,
+)
+from sparse_noma.spectral import SpectralDensity
 
 degrees = st.integers(min_value=2, max_value=40)
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -66,7 +76,6 @@ class TestSystemConfig:
     def test_load_is_exact(self):
         cfg = SystemConfig(3, 2)
         assert cfg.beta == 2 / 3
-        assert cfg.beta_exact.numerator == 2 and cfg.beta_exact.denominator == 3
 
     def test_with_snr(self):
         cfg = SystemConfig(3, 2).with_snr(7.5)
@@ -124,6 +133,62 @@ class TestSpectralDensity:
         assert (p.lambda_minus == 0.0) == (d == bd)
 
 
+# every degree from 2 to 59, primes and round numbers up to 2e5
+CONSTANT_DEGREES = [*range(2, 60), 97, 250, 500, 1000, 99989, 99991, 200000]
+
+
+def rational_density(d, bd):
+    """The limiting law's record with its constants built as Fractions and rounded once."""
+    alpha, gamma = Fraction(d - 1, d), Fraction(bd - 1, d)
+    root = math.sqrt((d - 1) * (bd - 1))
+    lam_plus = float(alpha + gamma) + 2.0 * root / d
+    diff = float(alpha - gamma)
+    return SpectralDensity(
+        d=d, beta_d=bd, alpha=float(alpha), gamma=float(gamma),
+        beta_tilde=float(alpha / gamma), zeta=float(Fraction(bd) / gamma),
+        lambda_minus=0.0 if d == bd else diff * diff / lam_plus,
+        lambda_plus=lam_plus, support_gap=(root - 1.0) ** 2 / d,
+    )
+
+
+def rational_asymptotics(d, bd):
+    """The four extreme-SNR records, their cases chosen and slopes taken in Fractions."""
+    beta = Fraction(bd, d)
+    b = float(beta)
+    if beta < 1:
+        l_opt = (1.0 / b - 1.0) * math.log2(1.0 - b) - (d - 1) * math.log2(1.0 - 1.0 / d)
+        lmmse = HighSnrParams(b, math.log2(1.0 / (1.0 - b)) + math.log2((d - 1) / d))
+    elif beta == 1:
+        l_opt = -(d - 1) * math.log2(1.0 - 1.0 / d)
+        lmmse = HighSnrParams(0.5, math.log2((d - 1) / d))
+    else:
+        l_opt = (b - 1.0) * math.log2(b - 1.0) - b * math.log2(b) - (bd - 1) * math.log2(1.0 - 1.0 / bd)
+        lmmse = HighSnrParams(0.0, None)
+    return (
+        LowSnrParams(math.log(2.0), float(Fraction(2 * bd, bd + d - 1))),
+        LowSnrParams(math.log(2.0), float(Fraction(2 * bd, 2 * bd + d - 2))),
+        HighSnrParams(min(b, 1.0), l_opt),
+        lmmse,
+    )
+
+
+class TestConstantsMatchRationals:
+    """Each ensemble constant is one integer division, the double nearest its exact rational."""
+
+    def test_density_records(self):
+        for d in CONSTANT_DEGREES:
+            for bd in CONSTANT_DEGREES:
+                got = spectral_density(SystemConfig(d, bd))
+                assert got == rational_density(d, bd), (d, bd)
+                assert got.point_mass_at_zero == float(max(Fraction(0), 1 - Fraction(bd, d))), (d, bd)
+
+    def test_asymptotics_records(self):
+        for d in CONSTANT_DEGREES:
+            for bd in CONSTANT_DEGREES:
+                got = (low_snr_optimum(d, bd), low_snr_lmmse(d, bd), high_snr_optimum(d, bd), high_snr_lmmse(d, bd))
+                assert got == rational_asymptotics(d, bd), (d, bd)
+
+
 class TestStieltjes:
     def test_decay_far_left(self):
         p = spectral_density(SystemConfig(3, 6))
@@ -149,6 +214,13 @@ class TestStieltjes:
         for z in (0.0, 1.0, 2.0):
             with pytest.raises(DomainError, match="support"):
                 stieltjes(p, z)
+
+    def test_rejects_infinite_z_and_the_zero_atom(self):
+        p = spectral_density(SystemConfig(3, 2))
+        with pytest.raises(DomainError, match="finite"):
+            stieltjes(p, complex(math.inf, 1.0))
+        with pytest.raises(DomainError, match="point mass at zero"):
+            stieltjes(p, 0.0)
 
     def test_gap_below_support_is_fine_when_overloaded(self):
         p = spectral_density(SystemConfig(3, 6))
@@ -234,6 +306,11 @@ class TestQuadrature:
         dens = spectral_density(SystemConfig(3, 2))
         with pytest.raises(NumericalError):
             integrate_against_density(dens, lambda lam: np.where(lam > 1.0, np.inf, 1.0))
+
+    def test_nonfinite_integrand_at_the_atom_is_reported(self):
+        dens = spectral_density(SystemConfig(3, 2))
+        with pytest.raises(NumericalError, match="point mass"):
+            integrate_against_density(dens, lambda lam: np.where(lam == 0.0, np.inf, 1.0))
 
     def test_constant_integrand(self):
         # a scalar result broadcasts to the nodes; the atom takes it too
