@@ -261,31 +261,22 @@ def timeshare_envelope(points: Sequence[RatePoint]) -> SweepTable:
     """Upper concave envelope over load of the given operating points.
 
     Points may mix column degrees (pooled time sharing) or come from a
-    single d; the envelope only sees (beta, rate).  With fewer than two
-    distinct loads the input is returned unchanged.
+    single d; the envelope only sees (beta, rate), and its points and table
+    keep the default d and route.  With fewer than two distinct loads the
+    input is returned unchanged.
     """
     if not points:
-        return SweepTable(points=(), d=None)
+        return SweepTable(points=())
     ebn0s = {p.ebn0 for p in points}
     if len(ebn0s) != 1:
         raise ConfigurationError("envelope requires a common ebn0 across points")
     ebn0 = ebn0s.pop()
-    ds = {p.d for p in points}
-    d = ds.pop() if len(ds) == 1 else None
-    routes = {p.scheme for p in points}
-    route = routes.pop() if len(routes) == 1 else "mixed"
-
     hull = _upper_concave_hull([(p.beta, p.rate) for p in points])
     if len(hull) < 2:  # a single distinct load
-        return SweepTable(points=tuple(points), d=d)
-    env = tuple(
-        RatePoint(
-            scheme="timeshare_envelope", beta=b, rate=r, ebn0=ebn0, snr=None,
-            d=d, route=route,
-        )
-        for b, r in hull
-    )
-    return SweepTable(points=env, d=d)
+        return SweepTable(points=tuple(points))
+    return SweepTable(points=tuple(
+        RatePoint(scheme="timeshare_envelope", beta=b, rate=r, ebn0=ebn0, snr=None) for b, r in hull
+    ))
 
 
 def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:

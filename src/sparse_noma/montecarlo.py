@@ -28,16 +28,18 @@ base pages with each column's lower part ending on a page boundary and the
 RFP array on huge pages; _mapped_zeros and _dense_lower give the reasons.
 The Gram triplets are freed before either array goes to LAPACK.  Every
 LAPACK routine is called through one helper (_lapack) at its LAPACKE entry
-point.  _lapacke binds them all at once with ctypes from the OpenBLAS numpy
-itself links (ILP64: 64-bit lapack_int, scipy_LAPACKE_<name>64_ symbols),
-opened through numpy's _multiarray_umath extension, so no Monte Carlo route
-imports scipy or maps a second BLAS.  If that library lacks any routine,
-the LP64 LAPACK scipy links is tried, opened by path without importing
-scipy.linalg.  The platform is one decision: without a library that has
-them all, every route runs on its fallbacks (numpy.linalg.eigvalsh,
-scipy.linalg's pftrf and pftri, and the pftri diagonal for the MMSE
-values).  scipy.sparse is imported only by the public to_sparse, which no
-route here calls; importing this module, the CLI's closed-form commands and
+point.  One library serves them: _lapacke binds them all at once with
+ctypes from the LAPACK numpy itself links, opened through numpy's
+_multiarray_umath extension, under one of two namings, the ILP64
+scipy_LAPACKE_<name>64_ of numpy's own OpenBLAS (64-bit lapack_int) or the
+plain LAPACKE_<name> of a system LAPACKE (C int).  The platform is one
+decision, and _lapack alone knows it: where neither naming has every
+routine (numpy on Accelerate), numpy.linalg does each routine's work on a
+dense copy (eigvalsh, cholesky, inv), written back where LAPACK writes it,
+so the RFP routes then hold up to four m x m arrays instead of one packed
+triangle.  No Monte Carlo route imports scipy or maps a second BLAS; scipy
+stays a dependency only for the public to_sparse, which no route here
+calls, and importing this module, the CLI's closed-form commands and
 `validate --quick` load numpy only.
 
 At d = beta_d = 2 the graph is a disjoint union of cycles, and on a cycle of
@@ -59,7 +61,6 @@ import ctypes
 import functools
 import math
 import mmap
-import os
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -506,6 +507,14 @@ _LAPACKE_ROUTINES = {
     "heevd_2stage": ("ccipip", "zheevd_2stage", "dsyevd_2stage"),  # (jobz, uplo, n, a, lda, w)
 }
 
+# the namings numpy's LAPACK may export the routines under, in the order tried, each with its
+# lapack_int: the ILP64 scipy-openblas of numpy's wheels suffixes its symbols 64_; a build that
+# links a system LAPACKE has the plain names and a C int
+_LAPACKE_NAMINGS = (("scipy_LAPACKE_{}64_", ctypes.c_int64), ("LAPACKE_{}", ctypes.c_int))
+
+# without LAPACKE, the numpy.linalg function that does each routine's work on a dense copy
+_NUMPY_LINALG = {"pftrf": "cholesky", "pftri": "inv", "tftri": "inv", "heevd_2stage": "eigvalsh"}
+
 
 def _numpy_extension() -> str | None:
     """Path of numpy's _multiarray_umath extension, which links numpy's BLAS and LAPACK.
@@ -521,59 +530,76 @@ def _numpy_extension() -> str | None:
     return None
 
 
-def _scipy_extension() -> str | None:
-    """Path of scipy.linalg.cython_lapack's extension, which links scipy's LAPACK, found without importing scipy.linalg."""
-    import scipy
-
-    stem = os.path.join(os.path.dirname(scipy.__file__), "linalg", "cython_lapack")
-    return next((stem + ext for ext in EXTENSION_SUFFIXES if os.path.exists(stem + ext)), None)
-
-
-# the LAPACKs _lapacke tries, in order: where the library is, the names it may export a routine
-# under, and its lapack_int.  numpy's scipy-openblas is ILP64 and suffixes its symbols 64_.
-_LAPACK_LIBRARIES = (
-    (_numpy_extension, ("scipy_LAPACKE_{}64_",), ctypes.c_int64),
-    (_scipy_extension, ("scipy_LAPACKE_{}", "LAPACKE_{}"), ctypes.c_int),
-)
-
-
-def _bind(path: str | None, symbols: tuple[str, ...], lapack_int) -> dict[str, Callable[..., int]] | None:
-    """Every routine of _LAPACKE_ROUTINES from the library at path, by name, or None if it lacks any one."""
-    if path is None:
-        return None
-    lib = ctypes.CDLL(path)
-    types = {"i": lapack_int, "c": ctypes.c_char, "p": ctypes.c_void_p}
-    bound = {}
-    for args, *names in _LAPACKE_ROUTINES.values():
-        for name in names:
-            fn = next(filter(None, (getattr(lib, sym.format(name), None) for sym in symbols)), None)
-            if fn is None:
-                return None
-            fn.argtypes = [ctypes.c_int] + [types[t] for t in args]  # the layout is a C int
-            fn.restype = lapack_int
-            bound[name] = fn
-    return bound
-
-
 @functools.cache
 def _lapacke() -> dict[str, Callable[..., int]] | None:
     """Every LAPACKE routine the routes call, in both precisions, as ctypes functions returning info, by name.
 
-    Bound on first call from the first library of _LAPACK_LIBRARIES that
-    exports all of them: the OpenBLAS numpy itself links, else the LP64
-    LAPACK scipy links.  Either is opened by the path of an extension that
-    is already loaded or never imported, and dlsym also searches its
-    dependencies.  Through numpy's library no route imports scipy or maps
-    a second BLAS; on a 2-vCPU host its ILP64 OpenBLAS 0.3.31 ran the
-    m = 2000 eigensolve 3% (complex) to 7% (real) slower than scipy's LP64
-    0.3.30 (BENCH_32.json).  None if neither library has every routine: the
-    platform is decided once, so each route asks only whether this is None.
+    Bound on first call from the LAPACK numpy itself links, opened by the
+    path of numpy's already loaded extension (dlsym also searches its
+    dependencies), under the first of _LAPACKE_NAMINGS that exports all of
+    them, so no route imports scipy or maps a second BLAS.  On a 2-vCPU host
+    numpy's ILP64 OpenBLAS 0.3.31 ran the m = 2000 eigensolve 3% (complex)
+    to 7% (real) slower than scipy's LP64 0.3.30 (BENCH_32.json).  None if
+    neither naming has every routine: the platform is decided once, and only
+    _lapack asks whether this is None.
     """
-    for find, symbols, lapack_int in _LAPACK_LIBRARIES:
-        bound = _bind(find(), symbols, lapack_int)
-        if bound is not None:
+    path = _numpy_extension()
+    if path is None:
+        return None
+    lib = ctypes.CDLL(path)
+    for symbol, lapack_int in _LAPACKE_NAMINGS:
+        types = {"i": lapack_int, "c": ctypes.c_char, "p": ctypes.c_void_p}
+        bound = {}
+        for args, *names in _LAPACKE_ROUTINES.values():
+            for name in names:
+                fn = bound[name] = getattr(lib, symbol.format(name), None)
+                if fn is not None:
+                    fn.argtypes = [ctypes.c_int] + [types[t] for t in args]  # the layout is a C int
+                    fn.restype = lapack_int
+        if None not in bound.values():
             return bound
     return None
+
+
+def _rfp_columns(arf: np.ndarray, n: int):
+    """(j, x, conj) for each column j of the n x n lower triangle that arf holds in RFP (_rfp_positions).
+
+    x is the view of arf holding entries j.. of column j, conjugated when
+    conj.  arf is an lda x ceil(n/2) column-major array, lda = n + s with
+    s = 1 - n % 2: the leading ceil(n/2) columns run down its columns from
+    row s, and the trailing triangle's columns run conjugated along its
+    first rows, above them, as lmmse_diagonal's tftri panels read them.
+    """
+    s, n1 = 1 - n % 2, (n + 1) // 2
+    b = arf.reshape(-1, n + s).T
+    for j in range(n1):
+        yield j, b[j + s :, j], False
+    for j in range(n - n1):
+        yield n1 + j, b[j, j + 1 - s : n + 1 - s - n1], True
+
+
+def _numpy_linalg(routine: str, n: int, a: np.ndarray, *rest) -> None:
+    """Do routine's work with numpy.linalg (_NUMPY_LINALG) and write its result where LAPACK writes it.
+
+    The RFP routines unpack the lower triangle in a (_rfp_columns) to a
+    dense copy with zeros above, pass it to cholesky (pftrf) or inv (tftri;
+    pftri forms inv(L)^H inv(L)) and pack the result's lower triangle back
+    into a.  heevd_2stage writes the eigenvalues into w, its last argument.
+    """
+    if routine == "heevd_2stage":
+        rest[-1][:] = np.linalg.eigvalsh(a)
+        return
+    low = np.zeros((n, n), dtype=a.dtype, order="F")
+    for j, x, conj in _rfp_columns(a, n):
+        low[j:, j] = x.conj() if conj else x
+    if routine == "pftrf":
+        low = np.linalg.cholesky(low)
+    else:
+        low = np.linalg.inv(low)
+        if routine == "pftri":
+            low = low.conj().T @ low
+    for j, x, conj in _rfp_columns(a, n):
+        x[:] = low[j:, j].conj() if conj else low[j:, j]
 
 
 def _lapack(routine: str, failure: str, *args) -> tuple[np.ndarray, str]:
@@ -582,20 +608,22 @@ def _lapack(routine: str, failure: str, *args) -> tuple[np.ndarray, str]:
     args are LAPACKE's arguments after the layout, arrays passed as
     themselves; the first array is the matrix the routine overwrites, and its
     dtype picks the complex or the real name (_LAPACKE_ROUTINES).  info != 0
-    raises NumericalError "<failure> failed (<name> info <info>)".  Without
-    LAPACKE only pftrf and pftri reach here, on (TRANSR='N', UPLO='L', n, a),
-    and scipy.linalg's f2py wrappers run them: the only place a Monte Carlo
-    route imports scipy.  The wrapper may return a copy.
+    raises NumericalError "<failure> failed (<name> info <info>)".  This is
+    the only reader of _lapacke(): without LAPACKE numpy.linalg does the
+    routine's work (_numpy_linalg), its name is the one that ran, and its
+    LinAlgError raises "<failure> failed (numpy.linalg.<name>: <message>)".
     """
-    a = next(x for x in args if isinstance(x, np.ndarray))
-    name = _LAPACKE_ROUTINES[routine][1 if np.iscomplexobj(a) else 2]
+    k, a = next((k, x) for k, x in enumerate(args) if isinstance(x, np.ndarray))
     lapacke = _lapacke()
-    if lapacke is not None:
-        info = lapacke[name](102, *(x.ctypes.data if isinstance(x, np.ndarray) else x for x in args))
-    else:
-        import scipy.linalg as sla
-
-        a, info = sla.get_lapack_funcs(routine, (a,))(args[2], a, transr="N", uplo="L", overwrite_a=True)
+    if lapacke is None:
+        name = _NUMPY_LINALG[routine]
+        try:
+            _numpy_linalg(routine, args[k - 1], *args[k:])  # n precedes a in every routine
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"{failure} failed (numpy.linalg.{name}: {exc})") from None
+        return a, name
+    name = _LAPACKE_ROUTINES[routine][1 if np.iscomplexobj(a) else 2]
+    info = lapacke[name](102, *(x.ctypes.data if isinstance(x, np.ndarray) else x for x in args))
     if info != 0:
         raise NumericalError(f"{failure} failed ({name} info {info})")
     return a, name
@@ -631,10 +659,8 @@ def _eigvalsh(a: np.ndarray) -> tuple[np.ndarray, str]:
     """Ascending eigenvalues of the Hermitian matrix whose lower triangle _dense_lower put in a, and the driver that ran.
 
     LAPACK's two-stage ?heevd_2stage overwrites a; numpy.linalg.eigvalsh,
-    the driver without LAPACKE, reads it.
+    the driver _lapack runs without LAPACKE, reads it.
     """
-    if _lapacke() is None:
-        return np.linalg.eigvalsh(a), "eigvalsh"
     m, lda = len(a), a.strides[1] // a.itemsize
     w = np.empty(m)  # eigenvalues only, lower triangle
     return w, _lapack("heevd_2stage", "eigensolve", b"N", b"L", m, a, lda, w)[1]
@@ -761,14 +787,14 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     (1/L) sum_k 1/(1 + (snr/d) mu_k) over the cycle's Gram eigenvalues mu_k.
     Otherwise M = I + (snr/d) G on the smaller Gram side is factored in RFP
     (see _cholesky: 8 m(m+1) bytes for complex weights, where a dense copy
-    takes 16 m^2, in a mapping of its own from _mapped_zeros) and no m x m
-    array is formed.  When K <= N the factor is inverted in place (LAPACK
-    tftri) and user k's MMSE is |column k of L^{-1}|^2, re^2 + im^2 summed
-    in panels of at most 64 RFP columns, whose temporaries stay near 1 MB at
-    m = 2000; without LAPACKE (_lapacke() is None) the diagonal of M^{-1}
-    from pftri is read instead.  When K > N, pftri gives M^{-1} in RFP and
-    user k's MMSE is 1 - (snr/d) a_k^H M^{-1} a_k, gathered (_rfp_entries)
-    from the d(d+1)/2 entries that user k's resources pick out.  snr = 0 gives
+    takes 16 m^2, in a mapping of its own from _mapped_zeros) and, with
+    LAPACKE, no m x m array is formed (_lapack says what runs without it).
+    When K <= N the factor is inverted in place (tftri) and user k's MMSE is
+    |column k of L^{-1}|^2, re^2 + im^2 summed in panels of at most 64 RFP
+    columns, whose temporaries stay near 1 MB at m = 2000.  When K > N,
+    pftri gives M^{-1} in RFP and user k's MMSE is
+    1 - (snr/d) a_k^H M^{-1} a_k, gathered (_rfp_entries) from the
+    d(d+1)/2 entries that user k's resources pick out.  snr = 0 gives
     exactly 1 for every user; from snr = 1e-9 up the mean log of the values is
     within 1e-6 relative of the exact one, and in between it raises
     DomainError (_require_resolved_snr).
@@ -784,7 +810,7 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
     else:
         arf, user_side = _cholesky(sig, snr)
         m = k if user_side else sig.n_resources
-        if user_side and _lapacke() is not None:
+        if user_side:
             _lapack("tftri", "inverting the Cholesky factor", b"N", b"L", b"N", m, arf)  # overwrites arf
             # column j < n1 of L^{-1} runs down b[j + s:, j], column n1 + j' along b[j', j' + 1 - s:]
             s, n1, n2 = 1 - m % 2, (m + 1) // 2, m // 2
@@ -800,17 +826,13 @@ def lmmse_diagonal(sig: SignatureMatrix, snr: float) -> np.ndarray:
                 diag[start : start + sq.shape[1]] = sq.sum(axis=0)  # stops at n1
         else:
             inv = _lapack("pftri", "inverting I + snr R", b"N", b"L", m, arf)[0]
-            if user_side:
-                i = np.arange(m)
-                diag[:] = _rfp_entries(inv, m, i, i).real
-            else:
-                rows, w = sig.rows.reshape(k, d), sig.weights.reshape(k, d)
-                quad = np.zeros(k)
-                for p in range(d):
-                    for q in range(p, d):  # a pair p < q stands for (q, p) too
-                        x = _rfp_entries(inv, m, rows[:, p], rows[:, q])
-                        quad += (1.0 if p == q else 2.0) * (np.conj(w[:, p]) * w[:, q] * x).real
-                diag[:] = 1.0 - c * quad
+            rows, w = sig.rows.reshape(k, d), sig.weights.reshape(k, d)
+            quad = np.zeros(k)
+            for p in range(d):
+                for q in range(p, d):  # a pair p < q stands for (q, p) too
+                    x = _rfp_entries(inv, m, rows[:, p], rows[:, q])
+                    quad += (1.0 if p == q else 2.0) * (np.conj(w[:, p]) * w[:, q] * x).real
+            diag[:] = 1.0 - c * quad
     if not (np.min(diag) > 0.0 and np.max(diag) <= 1.0 + 1e-10):
         raise NumericalError("per-user MMSE left (0, 1]")
     return np.minimum(diag, 1.0)

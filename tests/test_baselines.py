@@ -382,6 +382,8 @@ class TestEnvelope:
         assert [(p.beta, p.rate) for p in env.points] == [(1.0, 1.0), (2.0, 2.5)]
         assert all(p.scheme == "timeshare_envelope" for p in env.points)
         assert all(p.snr is None for p in env.points)
+        # no caller reads a label the envelope could give them
+        assert all(p.d is None and p.route == "closed_form" for p in env.points) and env.d is None
 
     def test_sagging_point_dropped(self):
         env = timeshare_envelope([_pt(1.0, 1.0), _pt(1.5, 1.1), _pt(2.0, 2.5)])

@@ -93,3 +93,25 @@ def test_every_private_definition_is_named_elsewhere():
 def test_result_records_hold_what_the_call_computed(record, names):
     # a record's arguments stay with the caller; each field here has a reader
     assert tuple(f.name for f in dataclasses.fields(record)) == names
+
+
+def _scipy_import_sites(nodes, scope=()):
+    """The dotted scope of every scipy import among nodes: enclosing classes, functions and `if TYPE_CHECKING:` blocks."""
+    for node in nodes:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                yield ".".join(scope)
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _scipy_import_sites(ast.iter_child_nodes(node), scope + (node.name,))
+        elif isinstance(node, ast.If) and isinstance(node.test, ast.Name) and node.test.id == "TYPE_CHECKING":
+            yield from _scipy_import_sites(node.body, scope + ("TYPE_CHECKING",))
+            yield from _scipy_import_sites(node.orelse, scope)
+        else:
+            yield from _scipy_import_sites(ast.iter_child_nodes(node), scope)
+
+
+def test_scipy_is_imported_only_for_to_sparse():
+    # numpy is the one runtime dependency of every route; scipy.sparse builds the public CSC view
+    sites = {f"{name}:{site}" for name, tree in TREES.items() for site in _scipy_import_sites(tree.body)}
+    assert sites == {"montecarlo.py:TYPE_CHECKING", "montecarlo.py:SignatureMatrix.to_sparse"}

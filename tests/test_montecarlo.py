@@ -587,10 +587,10 @@ class TestFactorFailures:
             montecarlo._cholesky(sig, -1.0)
 
     def test_failed_cholesky_without_lapacke_is_numerical_error(self, monkeypatch):
-        # the same pivot through scipy.linalg's f2py pftrf
+        # the same pivot through numpy.linalg.cholesky on the unpacked copy
         monkeypatch.setattr(montecarlo, "_lapacke", lambda: None)
         sig = generate_signature(24, 2, 4, seed=22)
-        with pytest.raises(NumericalError, match=r"Cholesky factorization of I \+ snr R failed \(zpftrf info [1-9]"):
+        with pytest.raises(NumericalError, match=r"Cholesky factorization of I \+ snr R failed \(numpy\.linalg\.cholesky: "):
             montecarlo._cholesky(sig, -1.0)
 
     @pytest.mark.parametrize("name, d, bd, failure", [
@@ -661,7 +661,7 @@ class TestRfpRoutes:
         assert run_probe(probe).split() == ["zheevd_2stage", "1", "1", "120"]
 
     def test_tftri_binds_on_this_platform(self):
-        # a silent fallback would keep every result and lose the speed, or load scipy; numpy's
+        # a silent fallback would keep every result and lose the speed and the packed memory; numpy's
         # OpenBLAS is ILP64, so every routine returns a 64-bit lapack_int
         bound = montecarlo._lapacke()
         assert sorted(bound) == sorted([
@@ -671,8 +671,8 @@ class TestRfpRoutes:
         assert {ctypes.sizeof(fn.restype) for fn in bound.values()} == {8}
 
     @staticmethod
-    def bind_lacking(monkeypatch, symbols):
-        """_lapacke() rebound with every library hiding the given symbols."""
+    def bind_lacking(monkeypatch, symbols, served=None):
+        """_lapacke() rebound with numpy's library hiding the given symbols and exporting served, a map of symbols to functions."""
         cdll = ctypes.CDLL
 
         class Lacking:
@@ -682,7 +682,7 @@ class TestRfpRoutes:
             def __getattr__(self, symbol):
                 if symbol in symbols:
                     raise AttributeError(symbol)
-                return getattr(self.lib, symbol)
+                return (served or {}).get(symbol) or getattr(self.lib, symbol)
 
         montecarlo._lapacke.cache_clear()
         monkeypatch.setattr(ctypes, "CDLL", Lacking)
@@ -690,9 +690,9 @@ class TestRfpRoutes:
 
     @pytest.mark.parametrize("missing", ["ztftri", "dpftri", "dsyevd_2stage"])
     def test_library_lacking_one_routine_binds_none(self, monkeypatch, missing):
-        # the platform is one decision: when neither numpy's nor scipy's library has every routine,
-        # every route runs on its fallbacks
-        symbols = {f"scipy_LAPACKE_{missing}64_", f"scipy_LAPACKE_{missing}", f"LAPACKE_{missing}"}
+        # the platform is one decision: when neither naming exports every routine, numpy.linalg
+        # does the work of every routine
+        symbols = {f"scipy_LAPACKE_{missing}64_", f"LAPACKE_{missing}"}
         try:
             assert self.bind_lacking(monkeypatch, symbols) is None
             assert empirical_spectrum(generate_signature(60, 3, 6, seed=34)).driver == "eigvalsh"
@@ -700,10 +700,19 @@ class TestRfpRoutes:
             montecarlo._lapacke.cache_clear()
 
     @pytest.mark.parametrize("missing", ["ztftri", "dsyevd_2stage"])
-    def test_numpy_library_lacking_one_routine_binds_scipys(self, monkeypatch, missing):
-        # the second row of the candidate table: scipy's LP64 LAPACK, with a 32-bit lapack_int.  Both
-        # libraries are OpenBLAS, so the results agree: to the bit at these sizes with one BLAS thread,
-        # to rounding with more, where the two builds split the work differently
+    def test_plain_lapacke_names_bind_with_a_c_int(self, monkeypatch, missing):
+        # the second naming: a numpy build linking a system LAPACKE exports LAPACKE_<name> with a 32-bit
+        # lapack_int, played here by scipy's LP64 OpenBLAS, opened through the extension that links it.
+        # One missing ILP64 name moves all eight routines to the second naming, none stays on the first.
+        # Both libraries are OpenBLAS, so the results agree: to the bit at these sizes with one BLAS
+        # thread, to rounding with more, where the two builds split the work differently
+        from scipy.linalg import cython_lapack
+
+        lp64 = ctypes.CDLL(cython_lapack.__file__)
+        names = [name for _, *pair in montecarlo._LAPACKE_ROUTINES.values() for name in pair]
+        hidden = {f"scipy_LAPACKE_{missing}64_"}
+        served = {f"LAPACKE_{name}": getattr(lp64, f"scipy_LAPACKE_{name}") for name in names}
+
         def results():
             out = []
             for d, bd, n in [(3, 6, 300), (3, 2, 300), (10, 10, 301)]:
@@ -716,10 +725,10 @@ class TestRfpRoutes:
 
         want = results()
         try:
-            bound = self.bind_lacking(monkeypatch, {f"scipy_LAPACKE_{missing}64_"})
+            bound = self.bind_lacking(monkeypatch, hidden, served)
             assert len(bound) == 8
             assert {ctypes.sizeof(fn.restype) for fn in bound.values()} == {ctypes.sizeof(ctypes.c_int)}
-            assert bound[missing].__name__ in (f"scipy_LAPACKE_{missing}", f"LAPACKE_{missing}")
+            assert {fn.__name__ for fn in bound.values()} == {f"scipy_LAPACKE_{name}" for name in bound}
             got = results()
         finally:
             montecarlo._lapacke.cache_clear()
@@ -751,6 +760,25 @@ class TestRfpRoutes:
         assert scipy_modules == "0"
         assert openblas == (["1"] if sys.platform == "linux" else [])
 
+    def test_routes_without_lapacke_import_no_scipy(self, run_probe):
+        # the same routes where no naming binds: numpy.linalg does every routine's work, and no scipy
+        # module is imported
+        probe = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from sparse_noma import SystemConfig, montecarlo as mc\n"
+            "mc._lapacke = lambda: None\n"
+            "drivers = set()\n"
+            "for d, bd in [(3, 6), (3, 2), (10, 10)]:  # K > N, K < N, K = N\n"
+            "    for scheme in ('uniform', 'binary'):\n"
+            "        sig = mc.generate_signature(60, d, bd, scheme, np.random.default_rng(0))\n"
+            "        drivers.add(mc.empirical_spectrum(sig).driver)\n"
+            "        mc.empirical_capacity_opt(60, SystemConfig(d, bd, 10.0), trials=1, phase_scheme=scheme)\n"
+            "        mc.lmmse_diagonal(sig, 10.0)\n"
+            "print(*sorted(drivers), len([name for name in sys.modules if name.split('.')[0] == 'scipy']))\n"
+        )
+        assert run_probe(probe).split() == ["eigvalsh", "0"]
+
     def test_tftri_failure_is_numerical_error(self, monkeypatch):
         monkeypatch.setitem(montecarlo._lapacke(), "ztftri", lambda *args: -5)
         with pytest.raises(NumericalError, match="ztftri info -5"):
@@ -759,8 +787,8 @@ class TestRfpRoutes:
     @pytest.mark.parametrize("scheme", ["uniform", "binary"])
     @pytest.mark.parametrize("d, bd, n", [(3, 6, 300), (10, 10, 301), (3, 2, 300)])
     def test_platform_without_lapacke(self, monkeypatch, d, bd, n, scheme):
-        # scipy builds on Accelerate have no LAPACKE at all: numpy.linalg.eigvalsh and
-        # scipy.linalg's pftrf/pftri run every route, on both Gram sides
+        # numpy builds on Accelerate have no LAPACKE at all: numpy.linalg's eigvalsh, cholesky and
+        # inv do every routine's work, on both Gram sides
         cfg = SystemConfig(d, bd, self.SNR)
         sig = generate_signature(n, d, bd, scheme, np.random.default_rng([self.SEED, 0]))
 
@@ -841,8 +869,8 @@ class TestMmseIdentity:
     side: d/dsnr log det(I + c G) = (K - sum_k mmse_k)/snr.  B is linear in
     rho, B = B(0) + rho U, so d/dsnr log det(I - B) = -rho' tr((I - B)^{-1} U),
     with rho' from the cavity quadratic, no finite difference.  The sum is
-    lmmse_diagonal's on every route: tftri at (3,2) and (10,10), the pftri
-    diagonal that replaces it without LAPACKE, pftri on the resource side at
+    lmmse_diagonal's on every route: tftri at (3,2) and (10,10), numpy.linalg's
+    inverse in its place without LAPACKE, pftri on the resource side at
     (3,6), the cycles at (2,2).  Each N gives 2E = 1200; the worst relative
     error seen is 1.7e-14, at snr = 1e3, where the sum is near 2.
     """
