@@ -8,12 +8,18 @@ harness, and `validate` the named invariant suite.
 All dB handling lives here; the library works in linear units throughout.
 Each command but `validate` builds its fields and its CSV lines and hands
 both to `_write`, the one place that frames output as schema v1, and
-`_emit` is the one writer to stdout or `--out`.
+`_emit` is the one writer to stdout or `--out`.  JSON is byte for byte
+``json.dumps(payload, indent=2)``, written by `_json` through json's compact
+(C-accelerated on CPython) encoder.
 Exit codes: 0 success, 1 numerical or validation failure, 2 usage or domain
 error; a dB flag above about 3082.5 dB, whose linear value passes the
 largest float, is a domain error.  Every subcommand is deterministic given
 its flags and seed.  The argument parser is built once per process and
-reused by every `main` call; parsing keeps no state between calls.
+reused by every `main` call; parsing keeps no state between calls.  When
+the first argument names a command, `main` hands the rest straight to that
+command's subparser, as the top-level parser would after reading every
+argument as a possible option of its own, and reports what is left over
+with the top-level parser's own error.
 """
 
 from __future__ import annotations
@@ -80,15 +86,116 @@ def _emit(text: str, out: str | None) -> None:
             raise ConfigurationError(f"cannot write --out {out}: {exc.strerror or exc}") from exc
 
 
+_CONTAINERS = (dict, list, tuple)
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _encoder(depth: int) -> json.JSONEncoder:
+    """json's compact encoder, with each item on its own line ``depth + 1`` indent levels deep.
+
+    Each container it is handed holds only plain values, or is a table of
+    such containers, so no cycle can pass through it and json's cycle check
+    is skipped; `_json_parts` recurses into every other container itself.
+    """
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "), check_circular=False)
+
+
+def _plain(values: Iterable) -> bool:
+    """Whether each value is exactly a str, int, float, bool or None; a subclass takes the general path."""
+    return _PLAIN.issuperset(map(type, values))
+
+
+def _is_table(values: list | tuple) -> bool:
+    """Whether the values are all non-empty dicts, or all non-empty lists and tuples, of plain values."""
+    if isinstance(values[0], dict):
+        return all(isinstance(v, dict) and v and _plain(v.values()) for v in values)
+    return all(isinstance(v, (list, tuple)) and v and _plain(v) for v in values)
+
+
+def _json(value: Any) -> str:
+    """``json.dumps(value, indent=2)`` and a newline, from one join of the pieces `_json_parts` lists.
+
+    Joining the newline in lets `_emit` write this string as it is.  A copy
+    to append it frees a block the size of the text on every call, and in a
+    process that kept 7716 outputs those freed blocks between them raised
+    the peak RSS by about 0.4 MB.
+    """
+    parts: list[str] = []
+    _json_parts(value, 0, parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _json_parts(value: Any, depth: int, parts: list[str]) -> None:
+    """Append to ``parts`` the pieces of ``json.dumps(value, indent=2)``, for a value ``depth`` levels deep.
+
+    json's ``indent`` runs its pure-Python encoder, while the compact one runs
+    in C on CPython; here each container is one call of the compact encoder,
+    whose item separator carries the newline and indent.  An encoded key or
+    scalar holds no raw newline and neither starts nor ends with a bracket,
+    so the separators can be told apart afterwards:
+
+    - a container of plain values is one call;
+    - a list of such containers, all dicts or all lists and tuples (a table),
+      is one call one level deeper, where each separator between two records
+      sits between a closing and an opening bracket;
+    - any other container is one call with 0 in place of each nested
+      container, split at every separator, and each 0 then becomes its
+      container, written one level deeper.
+
+    The pieces are joined once, so the text is copied once, not once per
+    level.  A value that contains itself recurses until RecursionError,
+    where json raises ValueError.
+    """
+    encoder = _encoder(depth)
+    if isinstance(value, dict):
+        values, is_dict = value.values(), True
+    elif isinstance(value, (list, tuple)):
+        values, is_dict = value, False
+    else:
+        parts.append(encoder.encode(value))
+        return
+    if not value:
+        parts.append("{}" if is_dict else "[]")
+        return
+    sep, close = encoder.item_separator, "\n" + "  " * depth
+    if _plain(values):
+        text = encoder.encode(value)
+        parts += (text[0], sep[1:], text[1:-1])
+    elif not is_dict and _is_table(value):
+        record_sep, record_close = sep + "  ", close + "  "
+        text = _encoder(depth + 1).encode(value)
+        o, c = text[1], text[-2]  # the records' brackets
+        between = record_close + c + sep + o + record_sep[1:]
+        parts += (text[0], sep[1:], o, record_sep[1:], text[2:-2].replace(c + record_sep + o, between),
+                  record_close, c)
+    else:
+        values = list(values)
+        flat = [0 if isinstance(v, _CONTAINERS) else v for v in values]
+        text = encoder.encode(dict(zip(value, flat)) if is_dict else flat)
+        parts += (text[0], sep[1:])
+        for i, (item, v) in enumerate(zip(text[1:-1].split(sep), values)):
+            if i:
+                parts.append(sep)
+            if isinstance(v, _CONTAINERS):
+                parts.append(item[:-1])  # the key, if any, without the 0
+                _json_parts(v, depth + 1, parts)
+            else:
+                parts.append(item)
+    parts += (close, text[-1])
+
+
 def _write(args: argparse.Namespace, fields: dict, csv_lines: Iterable[str]) -> None:
     """Frame one command's output as schema v1 and emit it.
 
-    JSON is ``{"kind": <command>, "schema": "v1", **fields}``; CSV is the
+    JSON is ``{"kind": <command>, "schema": "v1", **fields}`` as
+    ``json.dumps(..., indent=2)`` writes it, made by `_json`; CSV is the
     ``# schema=v1`` line followed by ``csv_lines``, which are only read for
     CSV output.
     """
     if args.format == "json":
-        _emit(json.dumps({"kind": args.command, "schema": "v1", **fields}, indent=2), args.out)
+        _emit(_json({"kind": args.command, "schema": "v1", **fields}), args.out)
     else:
         _emit("\n".join(["# schema=v1", *csv_lines]), args.out)
 
@@ -260,8 +367,14 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if n_fail else 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, by command name; built once."""
     parser = argparse.ArgumentParser(
         prog="sparse-noma",
         description="Spectral efficiency of regular sparse NOMA: closed forms, "
@@ -322,11 +435,31 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run only this check (repeatable)")
     p.add_argument("--out", default=None, metavar="PATH")
     p.set_defaults(fn=cmd_validate)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, without its scan of a command's arguments.
+
+    After a command name, argparse hands every later argument to that
+    command's subparser, having first tested each one against its own
+    options: ``--=...`` is the one string that test rejects (as ambiguous
+    between --help and --version), so an argv holding ``--=`` anywhere takes
+    the full parse, which is never wrong.
+    """
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None or "--=" in " ".join(argv):
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.fn(args)
     except (ConfigurationError, DomainError) as exc:

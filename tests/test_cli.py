@@ -7,8 +7,10 @@ import os
 import types
 import xml.etree.ElementTree as ET
 from importlib import resources
+from unittest import mock
 
 import jsonschema
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -22,6 +24,9 @@ from sparse_noma.units import db_to_linear, linear_to_db
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
+    if captured.out.startswith("{"):
+        # every JSON output is json's own indent=2 text of what it holds
+        assert captured.out == json.dumps(json.loads(captured.out), indent=2) + "\n"
     return code, captured.out, captured.err
 
 
@@ -496,6 +501,104 @@ def test_numerical_error_exits_1(capsys, monkeypatch):
     code, out, err = run(capsys, "params", "--d", "3", "--beta-d", "2")
     assert (code, out) == (1, "")
     assert err == "numerical failure: quadrature did not converge\n"
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([2**63, -(2**63) - 1, 2**64 + 1, -0.0, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(),
+    st.text(),  # non-ASCII included
+)
+KEYS = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+PAYLOADS = st.one_of(
+    st.recursive(
+        SCALARS,
+        lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(KEYS, inner, max_size=4),
+        max_leaves=24,
+    ),
+    # tables: lists of records that hold only scalars
+    st.lists(st.dictionaries(st.text(max_size=3), SCALARS, min_size=1, max_size=4), min_size=1, max_size=4),
+    st.lists(st.lists(SCALARS, min_size=1, max_size=3) | st.tuples(SCALARS), min_size=1, max_size=4),
+)
+
+
+class TestJsonWriter:
+    """`cli._json` writes exactly what ``json.dumps(value, indent=2)`` writes, and a newline."""
+
+    @pytest.fixture(scope="class", params=["c", "python"])
+    def encoder(self, request):
+        if request.param == "c" and json.encoder.c_make_encoder is None:
+            pytest.skip("json has no C encoder here")
+        # without c_make_encoder, json's compact encoder runs its pure-Python code
+        c_make_encoder = json.encoder.c_make_encoder if request.param == "c" else None
+        with mock.patch.object(json.encoder, "c_make_encoder", c_make_encoder):
+            yield request.param
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), [[]], [{}], {"a": {}}, {"a": [[], {}, ()]}, [[[[]]]], [{"a": []}, {"b": {}}],
+        [{"a": 1}, [1]], [(1, 2), [3]], {"k": [(1, "x"), (2, "é")]}, [{"a": None}, {"a": [1]}],
+        {1: [1], 2.5: {}, None: 3, True: [()], "x": -0.0}, "\u2603", 2**64, math.nan,
+    ], ids=repr)
+    def test_cases(self, encoder, value):
+        assert cli._json(value) == json.dumps(value, indent=2) + "\n"
+
+    @given(PAYLOADS)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, encoder, value):
+        assert cli._json(value) == json.dumps(value, indent=2) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        np.int64(1), [1, np.int64(1)], [{"a": np.int64(1)}], {"a": [np.int64(1)], "b": 2},
+        {(1,): 2}, {"a": 1, (1,): [2]}, [[np.float32(1.0)]],
+    ], ids=repr)
+    def test_unserializable_value_raises_as_json_does(self, encoder, value):
+        with pytest.raises(TypeError) as want:
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError) as got:
+            cli._json(value)
+        assert str(got.value) == str(want.value)
+
+
+DISPATCH = [
+    (),
+    ("-h",),
+    ("--version",),
+    ("nope",),
+    ("capacity", "-h"),
+    ("capacity", "--d", "3", "--snr-db", "10"),
+    ("capacity", "--d", "3", "--beta", "6", "--snr", "10"),
+    ("capacity", "--d", "3", "--beta-d", "6", "--snr-db", "-10", "--format", "json"),
+    ("capacity", "--d", "3", "--beta-d", "6", "--snr-db=-inf"),
+    ("capacity", "--d", "3", "--beta-d", "6", "--snr-db", "-inf"),
+    ("capacity", "--d", "3", "--beta-d", "6", "--snr-db", "10", "--format", "xml"),
+    ("capacity", "--d", "3", "--beta-d", "6", "--snr-db", "10", "extra"),
+    ("capacity", "--d", "3", "--beta-d", "6", "--snr-db", "10", "--version"),
+    ("capacity", "--d", "3", "--beta-d", "6", "--snr-db", "10", "--=x"),
+    ("capacity", "--d", "3", "--", "--beta-d", "6"),
+    ("--", "capacity", "--d", "3", "--beta-d", "6", "--snr-db", "10"),
+    ("sweep", "--d", "2", "--ebn0-db", "10", "--beta", "1"),
+    ("params", "--d", "3", "--beta-d", "2", "--format", "csv"),
+    ("validate", "--check", "nope"),
+]
+
+
+@pytest.mark.parametrize("argv", DISPATCH, ids=" ".join)
+def test_dispatch_matches_the_full_parse(capsys, monkeypatch, argv):
+    def outcome(*argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    got = outcome(*argv)
+    # the reference: the top-level parser reads the whole argv, then the command runs
+    monkeypatch.setattr(cli, "_parse", lambda argv: build_parser().parse_args(argv))
+    assert got == outcome(*argv)
 
 
 class TestUnits:

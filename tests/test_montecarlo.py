@@ -869,10 +869,11 @@ class TestMmseIdentity:
     side: d/dsnr log det(I + c G) = (K - sum_k mmse_k)/snr.  B is linear in
     rho, B = B(0) + rho U, so d/dsnr log det(I - B) = -rho' tr((I - B)^{-1} U),
     with rho' from the cavity quadratic, no finite difference.  The sum is
-    lmmse_diagonal's on every route: tftri at (3,2) and (10,10), numpy.linalg's
-    inverse in its place without LAPACKE, pftri on the resource side at
-    (3,6), the cycles at (2,2).  Each N gives 2E = 1200; the worst relative
-    error seen is 1.7e-14, at snr = 1e3, where the sum is near 2.
+    lmmse_diagonal's on every route: tftri at (3,2) and (10,10), pftri on the
+    resource side at (3,6), the cycles at (2,2), and without LAPACKE
+    numpy.linalg's inverse in place of tftri and of pftri.  Each N gives
+    2E = 1200; the worst relative error seen is 1.7e-14, at snr = 1e3, where
+    the sum is near 2.
     """
 
     SEED = 41
@@ -906,7 +907,7 @@ class TestMmseIdentity:
         self.check(d, bd, n, scheme)
 
     @pytest.mark.parametrize("scheme", ["uniform", "binary"])
-    @pytest.mark.parametrize("d, bd, n", [(3, 2, 300), (10, 10, 60)])
+    @pytest.mark.parametrize("d, bd, n", [(3, 2, 300), (3, 6, 100), (10, 10, 60)])
     def test_pftri_fallback(self, monkeypatch, d, bd, n, scheme):
         monkeypatch.setattr(montecarlo, "_lapacke", lambda: None)
         self.check(d, bd, n, scheme)
