@@ -7,7 +7,10 @@ Library layout:
 - capacity: optimum/LMMSE closed forms, integral oracle, MMSE diagnostics
 - asymptotics: extreme-SNR slope/threshold parameters and affine approximations
 - baselines: dense baselines, fixed-Eb/N0 rate solving, load sweeps, envelopes
-- montecarlo: random signature ensembles and empirical validation
+- ensemble: random regular signatures, drawn by stub matching and swap repair
+- gram: the smaller Gram side of one signature, its spectrum, log-determinant
+  and MMSE diagonal (LAPACK in RFP, or the d = beta_d = 2 cycle sums)
+- montecarlo: estimates over many draws against the closed forms, and KS
 - cli: command-line interface over all of the above
 """
 

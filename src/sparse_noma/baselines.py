@@ -4,10 +4,10 @@ Baseline spectral efficiencies are functions of (beta, snr) only:
 Cover-Wyner sum capacity, orthogonal transmission (beta <= 1), and
 random-spreading dense CDMA under optimum and LMMSE decoding.  The sparse
 closed forms live in `capacity` and exist only on the integer lattice
-beta*d in {2, 3, ...}; `_rate_fn` alone maps a scheme name to its rate.  A
-load sweep solves every scheme at a common Eb/N0 via the fixed point
-R = C(R * ebn0 / beta) and adds the time-sharing (upper concave) envelope
-over the sparse lattice points.
+beta*d in {2, 3, ...}; `rate_function` alone maps a scheme name to its
+rate.  A load sweep solves every scheme at a common Eb/N0 via the fixed
+point R = C(R * ebn0 / beta) and adds the time-sharing (upper concave)
+envelope over the sparse lattice points.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .capacity import _cavity, capacity_lmmse, capacity_optimum
+from .capacity import cavity_fixed_point, capacity_lmmse, capacity_optimum
 from .errors import ConfigurationError, DomainError, NumericalError
 from .spectral import SystemConfig
 from .units import LN2
@@ -41,7 +41,7 @@ SCHEMES = (
     "timeshare_envelope",
 )
 
-_SPARSE_SCHEMES = SCHEMES[:2]
+SPARSE_SCHEMES = SCHEMES[:2]
 _DENSE_SCHEMES = SCHEMES[2:6]
 _DENSE_OVERLOADED = tuple(s for s in _DENSE_SCHEMES if s != "orthogonal")
 
@@ -87,7 +87,7 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     log1p(beta snr/P_u), past about 1.8e308; P_r, about (beta - 1) snr,
     follows and sends the LMMSE rate to 0.  The bound is a contract below
     both.  The RS-CDMA rates are Verdu and Shamai's (IEEE
-    T-IT 1999), read from the `_cavity` fixed point at alpha = 1, the
+    T-IT 1999), read from `cavity_fixed_point` at alpha = 1, the
     d -> infinity limit of the sparse closed forms: beta log1p(snr/P_r) nats
     under LMMSE, plus log1p(beta snr/P_u) - beta snr/(P_u P_r) under optimum
     decoding.  Against Verdu-Shamai's radicals in mpmath, from -40 to 120 dB
@@ -108,11 +108,11 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     if scheme == "cover_wyner":
         return math.log1p(beta * snr) / LN2
     if scheme == "orthogonal":
-        if scheme not in _dense_schemes(beta):
+        if scheme not in dense_schemes(beta):
             raise DomainError(f"orthogonal transmission requires beta <= 1, got {beta!r}")
         return beta * math.log1p(snr) / LN2
     if scheme in ("rs_cdma_opt", "rs_cdma_lmmse"):
-        p_u, p_r = _cavity(1.0, beta, snr)
+        p_u, p_r = cavity_fixed_point(1.0, beta, snr)
         nats = beta * math.log1p(snr / p_r)
         if scheme == "rs_cdma_opt":
             nats += math.log1p(beta * snr / p_u) - beta * snr / (p_u * p_r)
@@ -120,18 +120,18 @@ def baseline_rate(scheme: str, beta: float, snr: float) -> float:
     raise DomainError(f"unknown baseline scheme {scheme!r}; pick from {_DENSE_SCHEMES}")
 
 
-def _dense_schemes(beta: float) -> tuple[str, ...]:
+def dense_schemes(beta: float) -> tuple[str, ...]:
     """The dense schemes at load beta, in `SCHEMES` order: orthogonal only up to beta = 1."""
     return _DENSE_SCHEMES if beta <= 1.0 else _DENSE_OVERLOADED
 
 
-def _rate_fn(scheme: str, beta: float, cfg: SystemConfig | None = None) -> Callable[[float], float]:
+def rate_function(scheme: str, beta: float, cfg: SystemConfig | None = None) -> Callable[[float], float]:
     """Bits/s/Hz against linear snr of one named scheme at load beta.
 
     Sparse schemes read the degree pair of cfg, and cfg itself at its snr, so
     a caller holding a config builds no other; dense ones read beta alone.
     """
-    if scheme in _SPARSE_SCHEMES:
+    if scheme in SPARSE_SCHEMES:
         capacity = capacity_optimum if scheme == "sparse_opt" else capacity_lmmse
         return lambda snr: capacity(cfg if snr == cfg.snr else cfg.with_snr(snr)).spectral_efficiency
     return lambda snr: baseline_rate(scheme, beta, snr)
@@ -307,17 +307,17 @@ def sweep_load(d: int, ebn0: float, beta_grid: Sequence[float]) -> SweepTable:
         )
 
     lattice = [SystemConfig(d, bd) for bd in range(bd_lo, bd_hi + 1)]
-    operating = [(s, cfg.beta, cfg) for cfg in lattice for s in _SPARSE_SCHEMES]
-    operating += [(s, beta, None) for beta in betas for s in _dense_schemes(beta)]
+    operating = [(s, cfg.beta, cfg) for cfg in lattice for s in SPARSE_SCHEMES]
+    operating += [(s, beta, None) for beta in betas for s in dense_schemes(beta)]
     points = [
         solve_rate_at_ebn0(
-            _rate_fn(s, beta, cfg), beta, ebn0, scheme=s,
+            rate_function(s, beta, cfg), beta, ebn0, scheme=s,
             d=cfg and cfg.d, beta_d=cfg and cfg.beta_d,
         )
         for s, beta, cfg in operating
     ]
 
-    for scheme in _SPARSE_SCHEMES:
+    for scheme in SPARSE_SCHEMES:
         hull = _upper_concave_hull([(p.beta, p.rate) for p in points if p.scheme == scheme])
         if len(hull) < 2:  # a single lattice point has no envelope
             continue

@@ -48,13 +48,13 @@ class MmseError:
 
 def _check_snr(config: SystemConfig) -> None:
     # the first terms to overflow are capacity_optimum's beta snr and the
-    # `_cavity` root P_r, about (beta - 1) snr, both past about 1.8e308 / beta
-    # (none at beta <= 1); the stated bound is a contract below that
+    # `cavity_fixed_point` root P_r, about (beta - 1) snr, both past about
+    # 1.8e308 / beta (none at beta <= 1); the stated bound is a contract below that
     if config.beta_d**2 * config.snr > 1e306:
         raise DomainError(f"the closed forms support 0 <= snr <= 1e306 / beta_d^2, got {config!r}")
 
 
-def _cavity(alpha: float, beta: float, snr: float) -> tuple[float, float]:
+def cavity_fixed_point(alpha: float, beta: float, snr: float) -> tuple[float, float]:
     """Uniform fixed point (P_u, P_r) of the cavity precisions, unchecked.
 
     With h = b/2 and b = 1 - (1 - beta) snr, the resource precision P_r is
@@ -74,7 +74,7 @@ def _cavity(alpha: float, beta: float, snr: float) -> tuple[float, float]:
 def capacity_optimum(config: SystemConfig) -> CapacityResult:
     """Optimum-decoding spectral efficiency, closed form, in bits/s/Hz.
 
-    The Bethe free energy of the Gaussian model at the `_cavity` fixed point,
+    The Bethe free energy of the Gaussian model at `cavity_fixed_point`,
     which is exact on the biregular tree (Yedidia, Freeman & Weiss, IEEE
     T-IT 2005; Malioutov, Johnson & Willsky, JMLR 2006): with c = snr/d,
 
@@ -111,7 +111,7 @@ def capacity_optimum(config: SystemConfig) -> CapacityResult:
     rate and rho = snr/(P_u P_r) at alpha = 1.
     """
     _check_snr(config)
-    p_u, p_r = _cavity((config.d - 1) / config.d, config.beta, config.snr)
+    p_u, p_r = cavity_fixed_point((config.d - 1) / config.d, config.beta, config.snr)
     snr, beta = config.snr, config.beta
     nats = (
         beta * math.log1p(snr / p_r)
@@ -132,7 +132,7 @@ def capacity_integral_oracle(config: SystemConfig) -> CapacityResult:
 def capacity_lmmse(config: SystemConfig) -> CapacityResult:
     """LMMSE-then-single-user-decoding spectral efficiency, closed form.
 
-    beta log1p(snr/P_r) nats at the `_cavity` fixed point, the beta log(1 +
+    beta log1p(snr/P_r) nats at `cavity_fixed_point`, the beta log(1 +
     sinr) of `lmmse_error`; it equals the paper's beta (log(1 + beta_d snr) -
     log(1 + d u)), whose two logs of about beta_d snr cancel at large degree.
 
@@ -146,7 +146,7 @@ def capacity_lmmse(config: SystemConfig) -> CapacityResult:
     rate, b = 1 - (1 - beta) snr, P_r at alpha = 1 and 2 P_r - b > 0.
     """
     _check_snr(config)
-    p_r = _cavity((config.d - 1) / config.d, config.beta, config.snr)[1]
+    p_r = cavity_fixed_point((config.d - 1) / config.d, config.beta, config.snr)[1]
     nats = config.beta * math.log1p(config.snr / p_r)
     return CapacityResult(nats / LN2)
 
@@ -156,7 +156,7 @@ def lmmse_error(config: SystemConfig) -> MmseError:
 
     m1 = (1/snr) m_R(-1/snr), m_R the Stieltjes transform of the limiting law
     of the user-side Gram matrix (1/d) A^H A.  The inner transform's
-    quadratic at z = -1/snr is the `_cavity` quadratic, so P_r = 1 + alpha
+    quadratic at z = -1/snr is the `cavity_fixed_point` one, so P_r = 1 + alpha
     m_inner - (1 - beta) snr; then m1 = P_r/(snr + P_r) and sinr = snr/P_r.
     `capacity_lmmse` reads the same fixed point; `validate`'s lmmse_identity
     check compares that rate with m1 from `spectral.stieltjes`, a separate
@@ -169,7 +169,7 @@ def lmmse_error(config: SystemConfig) -> MmseError:
     """
     _check_snr(config)
     s = config.snr
-    p_r = _cavity((config.d - 1) / config.d, config.beta, s)[1]
+    p_r = cavity_fixed_point((config.d - 1) / config.d, config.beta, s)[1]
     m1 = p_r / (s + p_r)
     if not 0.0 < m1 <= 1.0:
         raise NumericalError(f"m1={m1!r} outside (0, 1] for {config!r}")

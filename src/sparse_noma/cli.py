@@ -35,16 +35,11 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from . import __version__
-from .baselines import _SPARSE_SCHEMES, _dense_schemes, _rate_fn, sweep_load
+from .baselines import SPARSE_SCHEMES, dense_schemes, rate_function, sweep_load
 from .checks import run_checks
 from .errors import ConfigurationError, DomainError, NumericalError
-from .montecarlo import (
-    KS_MIN_RESOURCES,
-    PHASE_SCHEMES,
-    compare_to_closed_form,
-    feasible_resources,
-    ks_draw,
-)
+from .ensemble import PHASE_SCHEMES, feasible_resources
+from .montecarlo import KS_MIN_RESOURCES, compare_to_closed_form, ks_draw
 from .spectral import SystemConfig, density_at, spectral_density
 from .svgplot import sweep_svg
 from .units import db_to_linear
@@ -249,10 +244,10 @@ def _capacity_rows(cfg: SystemConfig) -> list[dict]:
     dense = _rate_row(beta=beta, snr=snr, route="closed_form")
     sparse = dense | {"d": cfg.d, "beta_d": cfg.beta_d}
     rows = []
-    for scheme in _SPARSE_SCHEMES:
-        rows.append(sparse | {"scheme": scheme, "rate": _rate_fn(scheme, beta, cfg)(snr)})
-    for scheme in _dense_schemes(beta):
-        rows.append(dense | {"scheme": scheme, "rate": _rate_fn(scheme, beta)(snr)})
+    for scheme in SPARSE_SCHEMES:
+        rows.append(sparse | {"scheme": scheme, "rate": rate_function(scheme, beta, cfg)(snr)})
+    for scheme in dense_schemes(beta):
+        rows.append(dense | {"scheme": scheme, "rate": rate_function(scheme, beta)(snr)})
     return rows
 
 

@@ -41,7 +41,7 @@ _STIELTJES_RESIDUAL_TOL = 1e-12
 _PANEL_CAP = 4096  # most Gauss panels one integral may use
 
 
-def _require_integer(name: str, value) -> int:
+def require_integer(name: str, value) -> int:
     # bool is an int subclass; reject it explicitly
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
@@ -49,7 +49,7 @@ def _require_integer(name: str, value) -> int:
 
 
 def _require_degree(name: str, value) -> int:
-    value = _require_integer(name, value)
+    value = require_integer(name, value)
     if value < 2:
         raise ConfigurationError(f"{name} must be at least 2, got {value}")
     return value

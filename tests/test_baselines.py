@@ -19,9 +19,9 @@ from sparse_noma import baselines
 from sparse_noma.baselines import (
     SCHEMES,
     RatePoint,
-    _dense_schemes,
-    _rate_fn,
     baseline_rate,
+    dense_schemes,
+    rate_function,
     solve_rate_at_ebn0,
     sweep_load,
     timeshare_envelope,
@@ -267,7 +267,7 @@ class TestRateSolverLargeRates:
 
     @pytest.mark.parametrize("ebn0_db", [1520, 1530, 1770, 1780, 1800])
     def test_rs_cdma_opt_solves_past_500_bits(self, ebn0_db):
-        rate = _rate_fn("rs_cdma_opt", 1.0)
+        rate = rate_function("rs_cdma_opt", 1.0)
         pt = solve_rate_at_ebn0(rate, 1.0, 10.0 ** (ebn0_db / 10.0), scheme="rs_cdma_opt")
         assert 500.0 < pt.rate < 610.0
         assert abs(pt.rate - rate(pt.snr)) <= 1e-12 * pt.rate
@@ -513,7 +513,7 @@ RATE_CASES = [
 
 
 class TestRateFn:
-    """`_rate_fn` returns exactly the closed form each scheme name stands for."""
+    """`rate_function` returns exactly the closed form each scheme name stands for."""
 
     @pytest.mark.parametrize("scheme,d,beta_d", RATE_CASES)
     def test_matches_the_closed_form(self, scheme, d, beta_d):
@@ -527,14 +527,14 @@ class TestRateFn:
                 expected = capacity_lmmse(at).spectral_efficiency
             else:
                 expected = baseline_rate(scheme, beta, snr)
-            assert _rate_fn(scheme, beta, cfg)(snr) == expected
-            assert _rate_fn(scheme, beta, at)(snr) == expected
+            assert rate_function(scheme, beta, cfg)(snr) == expected
+            assert rate_function(scheme, beta, at)(snr) == expected
 
     def test_orthogonal_only_up_to_full_load(self):
-        assert _dense_schemes(1.0) == ("rs_cdma_opt", "rs_cdma_lmmse", "orthogonal", "cover_wyner")
-        assert _dense_schemes(2 / 3) == _dense_schemes(1.0)
-        assert _dense_schemes(7 / 6) == ("rs_cdma_opt", "rs_cdma_lmmse", "cover_wyner")
+        assert dense_schemes(1.0) == ("rs_cdma_opt", "rs_cdma_lmmse", "orthogonal", "cover_wyner")
+        assert dense_schemes(2 / 3) == dense_schemes(1.0)
+        assert dense_schemes(7 / 6) == ("rs_cdma_opt", "rs_cdma_lmmse", "cover_wyner")
         with pytest.raises(DomainError, match="beta <= 1"):
-            _rate_fn("orthogonal", 7 / 6)(10.0)
+            rate_function("orthogonal", 7 / 6)(10.0)
         table = sweep_load(3, 10.0, [2 / 3, 1.0, 7 / 6, 2.0])
         assert {p.beta for p in table.points if p.scheme == "orthogonal"} == {2 / 3, 1.0}

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sparse_noma import cli, montecarlo
+from sparse_noma import checks, cli, montecarlo
 from sparse_noma.checks import run_checks
 from sparse_noma.cli import CSV_HEADER, build_parser, main
 from sparse_noma.errors import ConfigurationError, DomainError, NumericalError
@@ -401,6 +401,41 @@ class TestValidate:
         assert code == 1
         assert "FAIL arcsine_point" in out
         assert "0 passed, 1 failed, 0 skipped" in out
+
+
+class TestTimeBudgets:
+    """A check whose time gate fails says so in its detail, and a pass reads as it did before the wording."""
+
+    @staticmethod
+    def clock(monkeypatch, seconds):
+        # checks reads time.perf_counter at a check's start and end; each reading here is `seconds` later
+        now = iter(range(0, 100 * seconds, seconds))
+        monkeypatch.setattr(checks, "time", types.SimpleNamespace(perf_counter=lambda: float(next(now))))
+
+    @staticmethod
+    def agreements(monkeypatch, passed):
+        record = types.SimpleNamespace(passed=passed, abs_dev=0.0125, tolerance=0.25)
+        monkeypatch.setattr(checks, "compare_to_closed_form", lambda receiver, cfg, seed: record)
+        return "; ".join(f"({d},{bd},{r}) dev=1.25e-02 tol=2.50e-01" for d, bd in checks.MC_CONFIGS
+                         for r in ("opt", "lmmse"))
+
+    @pytest.mark.parametrize("seconds, ok, tail", [(9, True, " in 9.00s"), (12, False, " in 12.00s, over the 10 s budget")])
+    def test_oracle_agreement(self, monkeypatch, seconds, ok, tail):
+        self.clock(monkeypatch, seconds)
+        passed, detail = checks.check_oracle_agreement()
+        assert passed is ok
+        assert detail.startswith("max |closed-oracle| = ") and detail.endswith(f" over 275 cells{tail}")
+
+    @pytest.mark.parametrize("seconds, passed, ok, tail", [
+        (299, True, True, "; 299s"),
+        (300, True, False, "; 300s, over the 300 s budget"),
+        (12, False, False, "; 12s"),  # a numeric miss names no budget
+        (301, False, False, "; 301s, over the 300 s budget"),
+    ])
+    def test_mc_agreement(self, monkeypatch, seconds, passed, ok, tail):
+        self.clock(monkeypatch, seconds)
+        lines = self.agreements(monkeypatch, passed)
+        assert checks.check_mc_agreement() == (ok, lines + tail)
 
 
 class TestArgparseBehavior:

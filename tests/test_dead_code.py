@@ -114,4 +114,28 @@ def _scipy_import_sites(nodes, scope=()):
 def test_scipy_is_imported_only_for_to_sparse():
     # numpy is the one runtime dependency of every route; scipy.sparse builds the public CSC view
     sites = {f"{name}:{site}" for name, tree in TREES.items() for site in _scipy_import_sites(tree.body)}
-    assert sites == {"montecarlo.py:TYPE_CHECKING", "montecarlo.py:SignatureMatrix.to_sparse"}
+    assert sites == {"ensemble.py:TYPE_CHECKING", "ensemble.py:SignatureMatrix.to_sparse"}
+
+
+def test_no_private_name_crosses_a_module():
+    # a name another module imports is part of its home's interface, so it carries a public name
+    crossings = [
+        f"{name}:{node.lineno} from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert not crossings, f"private names imported across modules: {crossings}"
+
+
+def _sibling_imports(tree):
+    """The package modules a source imports from: x of every `from .x import ...`."""
+    return {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level and node.module}
+
+
+def test_monte_carlo_layers_import_one_way():
+    # ensemble draws a signature, gram does the linear algebra on one, montecarlo estimates over many
+    assert not _sibling_imports(TREES["ensemble.py"]) & {"gram", "montecarlo"}
+    assert "montecarlo" not in _sibling_imports(TREES["gram.py"])

@@ -18,20 +18,18 @@ from hypothesis import given, settings, strategies as st
 from sparse_noma import (
     ConfigurationError, DomainError, GenerationError, NumericalError, SystemConfig, spectral_density,
 )
-from sparse_noma.capacity import _cavity, capacity_lmmse, capacity_optimum, lmmse_error
-from sparse_noma import montecarlo
+from sparse_noma.capacity import cavity_fixed_point, capacity_lmmse, capacity_optimum, lmmse_error
+from sparse_noma import ensemble, gram, montecarlo
 from sparse_noma.checks import MC_CONFIGS
+from sparse_noma.ensemble import SignatureMatrix, feasible_resources, generate_signature
 from sparse_noma.montecarlo import (
     KS_MIN_RESOURCES,
     EmpiricalSpectrum,
     McEstimate,
-    SignatureMatrix,
     compare_to_closed_form,
     empirical_capacity_lmmse,
     empirical_capacity_opt,
     empirical_spectrum,
-    feasible_resources,
-    generate_signature,
     ks_distance,
     lmmse_diagonal,
 )
@@ -217,14 +215,14 @@ class TestGeneration:
     @pytest.mark.parametrize("d,bd", [(2, 2), (3, 2), (3, 6), (10, 10)])
     def test_matches_reference_at_acceptance_pairs(self, d, bd):
         n = feasible_resources(2000, d, bd)
-        for seed, scheme in enumerate(montecarlo.PHASE_SCHEMES):
+        for seed, scheme in enumerate(ensemble.PHASE_SCHEMES):
             assert_matches_reference(n, d, bd, scheme, seed)
 
     @pytest.mark.parametrize("d,bd,n", [(2, 2, 6), (3, 6, 30), (2, 4, 24), (3, 4, 36)])
     def test_matches_reference_under_heavy_repair(self, d, bd, n):
         swaps = 0
         for seed in range(100):
-            for scheme in montecarlo.PHASE_SCHEMES:
+            for scheme in ensemble.PHASE_SCHEMES:
                 swaps += assert_matches_reference(n, d, bd, scheme, seed).swap_iterations
         assert swaps > 0
 
@@ -238,7 +236,7 @@ class TestGeneration:
                 np.random.default_rng(seed).shuffle(rows)
                 mine, theirs = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
                 ours, ref = rows.copy(), rows.copy()
-                swaps = montecarlo._repair_to_simple(mine, ours, d, cap)
+                swaps = ensemble._repair_to_simple(mine, ours, d, cap)
                 assert (swaps is not None) == reference_repair(theirs, ref, cols, cap)
                 assert np.array_equal(ours, ref)
                 assert mine.random() == theirs.random()
@@ -251,7 +249,7 @@ class TestGeneration:
         assert sig.matchings == 1
 
     def test_repair_failure_after_25_matchings(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_repair_to_simple", lambda rng, rows, d, cap: None)
+        monkeypatch.setattr(ensemble, "_repair_to_simple", lambda rng, rows, d, cap: None)
         with pytest.raises(GenerationError, match="no simple graph after 25 matchings"):
             generate_signature(30, 3, 6, seed=0)
 
@@ -324,7 +322,7 @@ class TestValidate:
         # column pairs below d = 10, a per-row sort from there; both against a set per user
         blocks = np.random.default_rng(seed).integers(0, n, (k, d), dtype=np.int32)
         want = [c for c in range(k) if len(set(blocks[c].tolist())) < d]
-        assert montecarlo._repeated_users(blocks).tolist() == want
+        assert ensemble._repeated_users(blocks).tolist() == want
 
 
 class TestEmpiricalSpectrum:
@@ -584,14 +582,14 @@ class TestFactorFailures:
         # I - G/d is indefinite, so pftrf reports a nonpositive pivot
         sig = generate_signature(24, 2, 4, seed=22)
         with pytest.raises(NumericalError, match="pftrf"):
-            montecarlo._cholesky(sig, -1.0)
+            gram._cholesky(sig, -1.0)
 
     def test_failed_cholesky_without_lapacke_is_numerical_error(self, monkeypatch):
         # the same pivot through numpy.linalg.cholesky on the unpacked copy
-        monkeypatch.setattr(montecarlo, "_lapacke", lambda: None)
+        monkeypatch.setattr(gram, "_lapacke", lambda: None)
         sig = generate_signature(24, 2, 4, seed=22)
         with pytest.raises(NumericalError, match=r"Cholesky factorization of I \+ snr R failed \(numpy\.linalg\.cholesky: "):
-            montecarlo._cholesky(sig, -1.0)
+            gram._cholesky(sig, -1.0)
 
     @pytest.mark.parametrize("name, d, bd, failure", [
         ("zpftrf", 3, 6, "Cholesky factorization of I + snr R"), ("dpftrf", 3, 6, "Cholesky factorization of I + snr R"),
@@ -601,7 +599,7 @@ class TestFactorFailures:
     ])
     def test_routine_failure_names_the_routine(self, monkeypatch, name, d, bd, failure):
         sig = generate_signature(60, d, bd, "uniform" if name[0] == "z" else "binary", seed=21)
-        monkeypatch.setitem(montecarlo._lapacke(), name, lambda *args: -5)
+        monkeypatch.setitem(gram._lapacke(), name, lambda *args: -5)
         with pytest.raises(NumericalError, match=re.escape(f"{failure} failed ({name} info -5)")):
             empirical_spectrum(sig) if failure == "eigensolve" else lmmse_diagonal(sig, 10.0)
 
@@ -631,7 +629,7 @@ class TestRfpRoutes:
         arf, info = trttf(np.asfortranarray(a), transr="N", uplo="L")
         assert info == 0
         i, j = np.tril_indices(n)
-        pos, conj = montecarlo._rfp_positions(n, i, j)
+        pos, conj = gram._rfp_positions(n, i, j)
         assert np.array_equal(np.sort(pos), np.arange(n * (n + 1) // 2))
         assert np.array_equal(np.where(conj, arf[pos].conj(), arf[pos]), a[i, j])
 
@@ -663,7 +661,7 @@ class TestRfpRoutes:
     def test_tftri_binds_on_this_platform(self):
         # a silent fallback would keep every result and lose the speed and the packed memory; numpy's
         # OpenBLAS is ILP64, so every routine returns a 64-bit lapack_int
-        bound = montecarlo._lapacke()
+        bound = gram._lapacke()
         assert sorted(bound) == sorted([
             "zpftrf", "dpftrf", "zpftri", "dpftri", "ztftri", "dtftri", "zheevd_2stage", "dsyevd_2stage",
         ])
@@ -684,9 +682,9 @@ class TestRfpRoutes:
                     raise AttributeError(symbol)
                 return (served or {}).get(symbol) or getattr(self.lib, symbol)
 
-        montecarlo._lapacke.cache_clear()
+        gram._lapacke.cache_clear()
         monkeypatch.setattr(ctypes, "CDLL", Lacking)
-        return montecarlo._lapacke()
+        return gram._lapacke()
 
     @pytest.mark.parametrize("missing", ["ztftri", "dpftri", "dsyevd_2stage"])
     def test_library_lacking_one_routine_binds_none(self, monkeypatch, missing):
@@ -697,7 +695,7 @@ class TestRfpRoutes:
             assert self.bind_lacking(monkeypatch, symbols) is None
             assert empirical_spectrum(generate_signature(60, 3, 6, seed=34)).driver == "eigvalsh"
         finally:
-            montecarlo._lapacke.cache_clear()
+            gram._lapacke.cache_clear()
 
     @pytest.mark.parametrize("missing", ["ztftri", "dsyevd_2stage"])
     def test_plain_lapacke_names_bind_with_a_c_int(self, monkeypatch, missing):
@@ -709,7 +707,7 @@ class TestRfpRoutes:
         from scipy.linalg import cython_lapack
 
         lp64 = ctypes.CDLL(cython_lapack.__file__)
-        names = [name for _, *pair in montecarlo._LAPACKE_ROUTINES.values() for name in pair]
+        names = [name for _, *pair in gram._LAPACKE_ROUTINES.values() for name in pair]
         hidden = {f"scipy_LAPACKE_{missing}64_"}
         served = {f"LAPACKE_{name}": getattr(lp64, f"scipy_LAPACKE_{name}") for name in names}
 
@@ -731,7 +729,7 @@ class TestRfpRoutes:
             assert {fn.__name__ for fn in bound.values()} == {f"scipy_LAPACKE_{name}" for name in bound}
             got = results()
         finally:
-            montecarlo._lapacke.cache_clear()
+            gram._lapacke.cache_clear()
         for x, y in zip(got, want):
             assert np.allclose(x, y, rtol=1e-12, atol=1e-12)
 
@@ -766,8 +764,8 @@ class TestRfpRoutes:
         probe = (
             "import sys\n"
             "import numpy as np\n"
-            "from sparse_noma import SystemConfig, montecarlo as mc\n"
-            "mc._lapacke = lambda: None\n"
+            "from sparse_noma import SystemConfig, gram, montecarlo as mc\n"
+            "gram._lapacke = lambda: None\n"
             "drivers = set()\n"
             "for d, bd in [(3, 6), (3, 2), (10, 10)]:  # K > N, K < N, K = N\n"
             "    for scheme in ('uniform', 'binary'):\n"
@@ -780,7 +778,7 @@ class TestRfpRoutes:
         assert run_probe(probe).split() == ["eigvalsh", "0"]
 
     def test_tftri_failure_is_numerical_error(self, monkeypatch):
-        monkeypatch.setitem(montecarlo._lapacke(), "ztftri", lambda *args: -5)
+        monkeypatch.setitem(gram._lapacke(), "ztftri", lambda *args: -5)
         with pytest.raises(NumericalError, match="ztftri info -5"):
             lmmse_diagonal(generate_signature(30, 3, 2, seed=13), self.SNR)
 
@@ -798,7 +796,7 @@ class TestRfpRoutes:
                      for run in (empirical_capacity_opt, empirical_capacity_lmmse)])
 
         spectrum, diag, estimates = results()
-        monkeypatch.setattr(montecarlo, "_lapacke", lambda: None)
+        monkeypatch.setattr(gram, "_lapacke", lambda: None)
         bare_spectrum, bare_diag, bare_estimates = results()
         assert bare_spectrum.driver == "eigvalsh"
         top = spectrum.eigenvalues[-1]
@@ -855,7 +853,7 @@ class TestBetheZeta:
             cfg = SystemConfig(d, bd, snr)
             logdet = empirical_capacity_opt(n, cfg, trials=1, seed=self.SEED, phase_scheme=scheme).estimate
             logdet *= n * math.log(2.0)
-            p_u, p_r = _cavity((d - 1) / d, bd / d, snr)
+            p_u, p_r = cavity_fixed_point((d - 1) / d, bd / d, snr)
             sign, loops = np.linalg.slogdet(identity - nonbacktracking(sig, -snr / d / (p_u * p_r)))
             assert abs(sign - 1.0) <= 1e-12  # det(I - B) = det(I + c G) e^{-N C_opt} > 0
             bethe = n * capacity_optimum(cfg).spectral_efficiency * math.log(2.0)
@@ -882,7 +880,7 @@ class TestMmseIdentity:
     def cavity_slope(d, bd, snr):
         """(P_r, rho, d rho/d snr), rho = -c/(P_u P_r) with P_u P_r = P_r + alpha snr."""
         alpha, beta = (d - 1) / d, bd / d
-        _, p_r = _cavity(alpha, beta, snr)
+        _, p_r = cavity_fixed_point(alpha, beta, snr)
         # P_r' from differentiating the quadratic; its root is P_r - h
         h = (1.0 - (1.0 - beta) * snr) / 2.0
         dp_r = (alpha - (1.0 - beta) * p_r) / (2.0 * (p_r - h))
@@ -909,7 +907,7 @@ class TestMmseIdentity:
     @pytest.mark.parametrize("scheme", ["uniform", "binary"])
     @pytest.mark.parametrize("d, bd, n", [(3, 2, 300), (3, 6, 100), (10, 10, 60)])
     def test_pftri_fallback(self, monkeypatch, d, bd, n, scheme):
-        monkeypatch.setattr(montecarlo, "_lapacke", lambda: None)
+        monkeypatch.setattr(gram, "_lapacke", lambda: None)
         self.check(d, bd, n, scheme)
 
 
@@ -1028,7 +1026,7 @@ def eigvalsh_spectrum(sig):
 def moved_eigenvalue_driver(delta, shift=0.0):
     """The two-stage complex driver, adding delta to the smallest value, subtracting it from the largest
     and adding shift to every value."""
-    real = montecarlo._lapacke()["zheevd_2stage"]
+    real = gram._lapacke()["zheevd_2stage"]
 
     def moved(layout, jobz, uplo, n, a, lda, w):
         info = real(layout, jobz, uplo, n, a, lda, w)
@@ -1052,7 +1050,7 @@ class TestEigensolveDriver:
         mat = MATRICES[kind](rng, m, complex_).astype(complex if complex_ else float)
         want = np.linalg.eigvalsh(mat)
         i, j = np.tril_indices(m)
-        got, driver = montecarlo._eigvalsh(montecarlo._dense_lower(m, i, j, mat[i, j], 1.0))
+        got, driver = gram._eigvalsh(gram._dense_lower(m, i, j, mat[i, j], 1.0))
         assert driver == ("zheevd_2stage" if complex_ else "dsyevd_2stage")
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -1060,7 +1058,7 @@ class TestEigensolveDriver:
     def test_single_precision_gram_is_widened(self, dtype):
         mat = hermitian(np.random.default_rng(28), 40, np.iscomplexobj(dtype(0))).astype(dtype)
         i, j = np.tril_indices(40)
-        got, _ = montecarlo._eigvalsh(montecarlo._dense_lower(40, i, j, mat[i, j], 2.0))
+        got, _ = gram._eigvalsh(gram._dense_lower(40, i, j, mat[i, j], 2.0))
         want = np.linalg.eigvalsh(mat.astype(np.complex128) / 2.0)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -1082,7 +1080,7 @@ class TestEigensolveDriver:
             assert empirical_spectrum(generate_signature(60, 3, 6, scheme, seed=24)).driver == driver
 
     def test_driver_failure_is_numerical_error(self, monkeypatch):
-        monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", lambda *args: -5)
+        monkeypatch.setitem(gram._lapacke(), "zheevd_2stage", lambda *args: -5)
         with pytest.raises(NumericalError, match="zheevd_2stage info -5"):
             empirical_spectrum(generate_signature(60, 3, 6, seed=26))
 
@@ -1090,19 +1088,19 @@ class TestEigensolveDriver:
         # the trace and so the mean check stay intact; only the second identity sees the move
         sig = generate_signature(60, 3, 6, seed=27)
         unmoved, moved = moved_eigenvalue_driver(0.0), moved_eigenvalue_driver(1e-6)
-        monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", unmoved)
+        monkeypatch.setitem(gram._lapacke(), "zheevd_2stage", unmoved)
         empirical_spectrum(sig)
-        monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", moved)
+        monkeypatch.setitem(gram._lapacke(), "zheevd_2stage", moved)
         with pytest.raises(NumericalError, match="squared eigenvalues"):
             empirical_spectrum(sig)
 
     def test_shifted_eigenvalues_fail_the_mean_identity(self, monkeypatch):
-        monkeypatch.setitem(montecarlo._lapacke(), "zheevd_2stage", moved_eigenvalue_driver(0.0, shift=1e-6))
+        monkeypatch.setitem(gram._lapacke(), "zheevd_2stage", moved_eigenvalue_driver(0.0, shift=1e-6))
         with pytest.raises(NumericalError, match="mean eigenvalue differs from beta"):
             empirical_spectrum(generate_signature(60, 3, 6, seed=27))
 
     def test_import_does_not_bind(self, run_probe):
-        probe = "import sparse_noma.montecarlo as m; print(m._lapacke.cache_info().currsize)"
+        probe = "import sparse_noma.montecarlo, sparse_noma.gram as m; print(m._lapacke.cache_info().currsize)"
         assert run_probe(probe).strip() == "0"
 
     def test_first_spectrum_binds_the_driver(self, run_probe):
@@ -1155,7 +1153,7 @@ def dense_logdet(sig, snr):
 
 
 def cycle_logdet(sig, snr):
-    return np.log1p(snr / sig.d * montecarlo._cycles(sig)[2]).sum()
+    return np.log1p(snr / sig.d * gram._cycles(sig)[2]).sum()
 
 
 def assert_cycle_route_matches_dense(sig, snr):
@@ -1211,7 +1209,7 @@ class TestBandRoute:
     @pytest.mark.parametrize("case", list(HAND_BUILT))
     def test_hand_built_paths(self, case):
         sig = HAND_BUILT[case]()
-        assert montecarlo._gram_lower(sig)[3] == (case != "resource side")
+        assert gram.gram_lower(sig)[3] == (case != "resource side")
         # the 2-cycle leaves a Gram row with one neighbour or none
         assert min(np.count_nonzero(dense_gram(sig), axis=1)) < 3
         if case == "resource side":  # d = 2, beta_d = 3 takes the dense routes
@@ -1243,7 +1241,7 @@ class TestBandRoute:
 
     def test_moved_cycle_eigenvalues_fail_the_second_moment_identity(self, monkeypatch):
         # the same move as the dense driver test: the trace holds, only sum lambda^2 changes
-        sig, walk = self.signature(60, "uniform"), montecarlo._cycles
+        sig, walk = self.signature(60, "uniform"), gram._cycles
 
         def moved(sig):
             users, starts, mu = walk(sig)
@@ -1252,7 +1250,7 @@ class TestBandRoute:
             mu[order[-1]] -= 2e-6
             return users, starts, mu
 
-        monkeypatch.setattr(montecarlo, "_cycles", moved)
+        monkeypatch.setattr(gram, "_cycles", moved)
         with pytest.raises(NumericalError, match="squared eigenvalues"):
             empirical_spectrum(sig)
 
@@ -1266,7 +1264,7 @@ class TestBandRoute:
         def no_walk(sig):
             raise AssertionError("the cycle walk ran outside d = beta_d = 2")
 
-        monkeypatch.setattr(montecarlo, "_cycles", no_walk)
+        monkeypatch.setattr(gram, "_cycles", no_walk)
         for scheme, driver in (("uniform", "zheevd_2stage"), ("binary", "dsyevd_2stage")):
             sig = generate_signature(feasible_resources(300, d, bd), d, bd, scheme, seed=31)
             assert empirical_spectrum(sig).driver == driver
@@ -1283,8 +1281,8 @@ class TestBandRoute:
 
 
 def gram_from_triplets(sig):
-    """The dense Hermitian Gram rebuilt from _gram_lower's triplets, after checking their form."""
-    i, j, v, user_side = montecarlo._gram_lower(sig)
+    """The dense Hermitian Gram rebuilt from gram_lower's triplets, after checking their form."""
+    i, j, v, user_side = gram.gram_lower(sig)
     assert user_side == (sig.n_users <= sig.n_resources)
     m = sig.n_users if user_side else sig.n_resources
     assert np.all(i >= j)
@@ -1318,7 +1316,7 @@ class TestGramBuilder:
     ])
     def test_shared_entry_is_one_summed_triplet(self, case, products):
         sig = HAND_BUILT[case]()
-        i, j, v, _ = montecarlo._gram_lower(sig)
+        i, j, v, _ = gram.gram_lower(sig)
         (at,) = np.flatnonzero((i == 1) & (j == 0))
         assert abs(v[at] - products(sig.weights)) <= self.TOL
 
@@ -1327,7 +1325,7 @@ class TestGramBuilder:
         d=st.integers(2, 4),
         bd=st.integers(2, 6),
         n=st.integers(5, 40),
-        scheme=st.sampled_from(montecarlo.PHASE_SCHEMES),
+        scheme=st.sampled_from(ensemble.PHASE_SCHEMES),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_random_draws(self, d, bd, n, scheme, seed):
@@ -1343,16 +1341,16 @@ class TestGramBuilder:
     def test_wrong_diagonal_is_numerical_error(self):
         sig = generate_signature(60, 3, 6, seed=3)
         with pytest.raises(NumericalError, match="Gram diagonal"):
-            montecarlo._gram_lower(dataclasses.replace(sig, weights=2.0 * sig.weights))
+            gram.gram_lower(dataclasses.replace(sig, weights=2.0 * sig.weights))
 
     def test_peak_bytes_per_pair(self):
         # (10,10), N = 2000, complex weights: N beta_d (beta_d - 1)/2 = 90,000 products, whose keys
         # and values are sorted and merged; measured 44.6 bytes per product, bound with a 12% margin
-        montecarlo._gram_lower(generate_signature(60, 10, 10, seed=0))  # first-call allocations happen outside
+        gram.gram_lower(generate_signature(60, 10, 10, seed=0))  # first-call allocations happen outside
         sig = generate_signature(2000, 10, 10, "uniform", seed=1)
         tracemalloc.start()
         try:
-            montecarlo._gram_lower(sig)
+            gram.gram_lower(sig)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
